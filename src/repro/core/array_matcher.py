@@ -207,24 +207,32 @@ class ArrayTopKMatcher(TopKMatcher):
     # Algorithm 2: weighted partial matching
     # ------------------------------------------------------------------
     def _match_topk(self, event: Event, k: int) -> List[MatchResult]:
-        if self.heat is None:
-            order = self._fold_event(event)
-        else:
-            order = self._fold_event_heat(event, self.heat)
-        return self._select_topk(order, k)
+        return self._select_topk(self._fold_event(event), k)
 
     def _next_gen(self) -> int:
         self._gen += 1
         return self._gen
 
-    def _fold_event(self, event: Event) -> List[int]:
+    def _fold_event(self, event: Event, cache: Optional[ProbeCache] = None) -> List[int]:
         """Fold every probed weight into the slot accumulator.
 
-        Returns the touched slots in first-touch order — the array
-        analogue of the reference scoremap's dict-insertion order.
+        The engine's one probe loop.  Returns the touched slots in
+        first-touch order — the array analogue of the reference
+        scoremap's dict-insertion order.
+
+        With neither ``cache`` nor ``self.heat`` a ranged probe is the
+        fused scan-and-fold (:meth:`_fold_ranged_numpy` /
+        :meth:`_fold_ranged_python`), which materialises no candidate
+        list.  Otherwise it goes through :meth:`SoARangedIndex.candidates`
+        and :meth:`_scored_candidates` / :meth:`_fold_candidates_override`
+        — pinned bitwise-identical to the fused route by the differential
+        suite — so ``cache`` can memoise candidates and scored folds, and
+        the heat monitor can count them.  Both are consulted once per
+        attribute probe, never per candidate.
         """
         gen = self._next_gen()
         order: List[int] = []
+        heat = self.heat
         use_event_weights = event.has_weights
         use_numpy = self.backend == "numpy"
         for attribute, value in event.known_items():
@@ -235,71 +243,75 @@ class ArrayTopKMatcher(TopKMatcher):
             if isinstance(structure, SoARangedIndex):
                 interval = event.interval_of(attribute)
                 qlo, qhi = interval.low, interval.high
-                if use_numpy and self._fold_ranged_numpy(
-                    structure, attribute, qlo, qhi, override, order, gen
-                ):
+                if cache is None and heat is None:
+                    if use_numpy and self._fold_ranged_numpy(
+                        structure, attribute, qlo, qhi, override, order, gen
+                    ):
+                        continue
+                    self._fold_ranged_python(
+                        structure, attribute, qlo, qhi, override, order, gen
+                    )
                     continue
-                self._fold_ranged_python(
-                    structure, attribute, qlo, qhi, override, order, gen
+                if heat is not None:
+                    heat.record_region(attribute, qlo, qhi)
+                candidates = (
+                    None if cache is None else cache.get_candidates(attribute, qlo, qhi)
                 )
-            else:
-                bucket = structure.buckets.get(value)
-                if bucket is not None and len(bucket):
-                    self._fold_pairs(zip(bucket.slots, bucket.weights), override, order, gen)
-        return order
-
-    def _fold_event_heat(self, event: Event, heat: Any) -> List[int]:
-        """The heat-accounting twin of :meth:`_fold_event`.
-
-        Ranged probes take :meth:`SoARangedIndex.candidates_heat` (the
-        scalar block-skip scan — that is the path the skip-table
-        counters describe) and fold through the cached-path machinery
-        (:meth:`_scored_candidates` / :meth:`_fold_candidates_override`),
-        which the differential suite pins as bitwise-identical to the
-        scan-and-fold.  The plain path keeps zero accounting.
-        """
-        gen = self._next_gen()
-        order: List[int] = []
-        use_event_weights = event.has_weights
-        for attribute, value in event.known_items():
-            structure = self._master_index.get(attribute)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, SoARangedIndex):
-                interval = event.interval_of(attribute)
-                qlo, qhi = interval.low, interval.high
-                candidates, scanned, skipped, blocks = structure.candidates_heat(
-                    qlo, qhi
-                )
-                heat.record_probe(
-                    attribute,
-                    "ranged",
-                    candidates=len(candidates),
-                    scanned=scanned,
-                    blocks_skipped=skipped,
-                    blocks_total=blocks,
-                )
-                heat.record_region(attribute, qlo, qhi)
+                if candidates is None:
+                    candidates = structure.candidates(qlo, qhi, use_numpy=use_numpy)
+                    if heat is not None:
+                        if cache is not None:
+                            heat.record_cache(attribute, "ranged", hit=False)
+                        scanned, skipped, blocks = structure.scan_stats(qlo, qhi)
+                        heat.record_probe(
+                            attribute,
+                            "ranged",
+                            candidates=len(candidates),
+                            scanned=scanned,
+                            blocks_skipped=skipped,
+                            blocks_total=blocks,
+                        )
+                    if cache is not None:
+                        cache.put_candidates(attribute, qlo, qhi, candidates)
+                elif heat is not None:
+                    heat.record_cache(attribute, "ranged", hit=True)
                 if not candidates:
                     continue
-                if override is None:
-                    scored = self._scored_candidates(
-                        structure, candidates, attribute, qlo, qhi
-                    )
-                    self._fold_pairs(scored, None, order, gen, precomputed=True)
-                else:
+                if override is not None:
                     self._fold_candidates_override(
                         structure, candidates, attribute, qlo, qhi, override, order, gen
                     )
-            else:
-                bucket = structure.buckets.get(value)
-                count = len(bucket) if bucket is not None else 0
-                heat.record_probe(attribute, "discrete", candidates=count)
-                if bucket is not None and count:
-                    self._fold_pairs(
-                        zip(bucket.slots, bucket.weights), override, order, gen
+                    continue
+                scored = None if cache is None else cache.get_scored(attribute, qlo, qhi)
+                if scored is None:
+                    scored = self._scored_candidates(
+                        structure, candidates, attribute, qlo, qhi
                     )
+                    if cache is not None:
+                        cache.put_scored(attribute, qlo, qhi, scored)
+                self._fold_pairs(scored, None, order, gen, precomputed=True)
+            else:
+                pairs = None if cache is None else cache.get_discrete(attribute, value)
+                if pairs is None:
+                    bucket = structure.buckets.get(value)
+                    count = len(bucket) if bucket is not None else 0
+                    if heat is not None:
+                        if cache is not None:
+                            heat.record_cache(attribute, "discrete", hit=False)
+                        heat.record_probe(attribute, "discrete", candidates=count)
+                    if cache is None:
+                        # Folded once and never stored: no pair list to build.
+                        if count:
+                            self._fold_pairs(
+                                zip(bucket.slots, bucket.weights), override, order, gen
+                            )
+                        continue
+                    pairs = _bucket_pairs(bucket) if count else []
+                    cache.put_discrete(attribute, value, pairs)
+                elif heat is not None:
+                    heat.record_cache(attribute, "discrete", hit=True)
+                if pairs:
+                    self._fold_pairs(pairs, override, order, gen)
         return order
 
     def _proration_constant(self, attribute: str) -> int:
@@ -529,121 +541,11 @@ class ArrayTopKMatcher(TopKMatcher):
             raise ValueError(f"k must be >= 1, got {k}")
         cache = probe_cache if probe_cache is not None else ProbeCache()
         out: List[List[MatchResult]] = []
-        heat = self.heat
         for event in events:
-            if heat is None:
-                order = self._fold_event_cached(event, cache)
-            else:
-                order = self._fold_event_cached_heat(event, cache, heat)
-            results = self._select_topk(order, k)
+            results = self._select_topk(self._fold_event(event, cache), k)
             self._settle(results)
             out.append(results)
         return out
-
-    def _fold_event_cached(self, event: Event, cache: ProbeCache) -> List[int]:
-        gen = self._next_gen()
-        order: List[int] = []
-        use_event_weights = event.has_weights
-        use_numpy = self.backend == "numpy"
-        for attribute, value in event.known_items():
-            structure = self._master_index.get(attribute)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, SoARangedIndex):
-                interval = event.interval_of(attribute)
-                qlo, qhi = interval.low, interval.high
-                candidates = cache.get_candidates(attribute, qlo, qhi)
-                if candidates is None:
-                    candidates = structure.candidates(qlo, qhi, use_numpy=use_numpy)
-                    cache.put_candidates(attribute, qlo, qhi, candidates)
-                if not candidates:
-                    continue
-                if override is None:
-                    scored = cache.get_scored(attribute, qlo, qhi)
-                    if scored is None:
-                        scored = self._scored_candidates(
-                            structure, candidates, attribute, qlo, qhi
-                        )
-                        cache.put_scored(attribute, qlo, qhi, scored)
-                    self._fold_pairs(scored, None, order, gen, precomputed=True)
-                else:
-                    self._fold_candidates_override(
-                        structure, candidates, attribute, qlo, qhi, override, order, gen
-                    )
-            else:
-                pairs = cache.get_discrete(attribute, value)
-                if pairs is None:
-                    bucket = structure.buckets.get(value)
-                    pairs = _bucket_pairs(bucket) if bucket is not None else []
-                    cache.put_discrete(attribute, value, pairs)
-                if pairs:
-                    self._fold_pairs(pairs, override, order, gen)
-        return order
-
-    def _fold_event_cached_heat(
-        self, event: Event, cache: ProbeCache, heat: Any
-    ) -> List[int]:
-        """The heat-accounting twin of :meth:`_fold_event_cached`.
-
-        Cache hits are recorded as hits (no physical probe); misses
-        record the miss plus the probe with its scan statistics.
-        """
-        gen = self._next_gen()
-        order: List[int] = []
-        use_event_weights = event.has_weights
-        for attribute, value in event.known_items():
-            structure = self._master_index.get(attribute)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, SoARangedIndex):
-                interval = event.interval_of(attribute)
-                qlo, qhi = interval.low, interval.high
-                heat.record_region(attribute, qlo, qhi)
-                candidates = cache.get_candidates(attribute, qlo, qhi)
-                if candidates is None:
-                    heat.record_cache(attribute, "ranged", hit=False)
-                    probed = structure.candidates_heat(qlo, qhi)
-                    candidates, scanned, skipped, blocks = probed
-                    heat.record_probe(
-                        attribute,
-                        "ranged",
-                        candidates=len(candidates),
-                        scanned=scanned,
-                        blocks_skipped=skipped,
-                        blocks_total=blocks,
-                    )
-                    cache.put_candidates(attribute, qlo, qhi, candidates)
-                else:
-                    heat.record_cache(attribute, "ranged", hit=True)
-                if not candidates:
-                    continue
-                if override is None:
-                    scored = cache.get_scored(attribute, qlo, qhi)
-                    if scored is None:
-                        scored = self._scored_candidates(
-                            structure, candidates, attribute, qlo, qhi
-                        )
-                        cache.put_scored(attribute, qlo, qhi, scored)
-                    self._fold_pairs(scored, None, order, gen, precomputed=True)
-                else:
-                    self._fold_candidates_override(
-                        structure, candidates, attribute, qlo, qhi, override, order, gen
-                    )
-            else:
-                pairs = cache.get_discrete(attribute, value)
-                if pairs is None:
-                    heat.record_cache(attribute, "discrete", hit=False)
-                    bucket = structure.buckets.get(value)
-                    pairs = _bucket_pairs(bucket) if bucket is not None else []
-                    heat.record_probe(attribute, "discrete", candidates=len(pairs))
-                    cache.put_discrete(attribute, value, pairs)
-                else:
-                    heat.record_cache(attribute, "discrete", hit=True)
-                if pairs:
-                    self._fold_pairs(pairs, override, order, gen)
-        return order
 
     def _scored_candidates(
         self,

@@ -31,10 +31,9 @@ from repro.core.events import Event
 from repro.core.interfaces import TopKMatcher
 from repro.core.matcher import FXTMMatcher, _RangedAttributeIndex
 from repro.core.probecache import ProbeCache
-from repro.core.results import MatchResult, sort_results
+from repro.core.results import MatchResult
 from repro.core.scoring import SUM
 from repro.core.subscriptions import Subscription
-from repro.structures.treeset import BoundedTopK
 
 __all__ = ["ReadWriteLock", "ThreadSafeMatcher", "ParallelFXTMMatcher"]
 
@@ -262,26 +261,4 @@ class ParallelFXTMMatcher(FXTMMatcher):
                     scoremap[sid] = aggregation.combine(
                         scoremap.get(sid, aggregation.zero), subscore
                     )
-        topscores = BoundedTopK(k)
-        tracker = self.budget_tracker
-        include_nonpositive = self.include_nonpositive
-        if tracker is None:
-            for sid, score in scoremap.items():
-                if score > 0.0 or include_nonpositive:
-                    topscores.offer(sid, score)
-        else:
-            now = tracker.clock.now()
-            states = tracker.states
-            deactivate = tracker.deactivate_expired
-            for sid, score in scoremap.items():
-                state = states.get(sid)
-                if state is not None:
-                    if deactivate and state.expired(now):
-                        score = 0.0
-                    else:
-                        score = score * state.multiplier(now)
-                if score > 0.0 or include_nonpositive:
-                    topscores.offer(sid, score)
-        return sort_results(
-            [MatchResult(sid, score) for sid, score in topscores.results_descending()]
-        )
+        return self._select_topk(scoremap, k)

@@ -236,19 +236,13 @@ class FXTMMatcher(TopKMatcher):
     def _match_topk(self, event: Event, k: int) -> List[MatchResult]:
         tracer = self.tracer
         if tracer is None:
-            if self.heat is None:
-                scoremap = self._build_scoremap(event)
-            else:
-                # Heat-only twin: scan statistics come from the heat
-                # probes (stab_heat), so the plain path stays untouched.
-                scoremap = self._build_scoremap_heat(event, self.heat)
-            return self._select_topk(scoremap, k)
+            return self._select_topk(self._build_scoremap(event), k)
         # Traced path: identical computation, decomposed into the
         # pipeline's span hierarchy (docs/observability.md): master-index
         # lookup -> per-attribute probe -> candidate scoring -> top-k
         # selection.
         with tracer.span("fxtm.match", algorithm=self.name, k=k) as root:
-            scoremap = self._build_scoremap_traced(event, tracer)
+            scoremap = self._build_scoremap(event, tracer=tracer)
             with tracer.span("topk.select", candidates=len(scoremap)) as select:
                 results = self._select_topk(scoremap, k)
                 select.annotate(results=len(results))
@@ -256,7 +250,7 @@ class FXTMMatcher(TopKMatcher):
         return results
 
     # ------------------------------------------------------------------
-    # Batched matching (tentpole of ISSUE 5): one pass, shared probes
+    # Batched matching: one pass, shared probes
     # ------------------------------------------------------------------
     def match_batch(
         self,
@@ -280,13 +274,8 @@ class FXTMMatcher(TopKMatcher):
         out: List[List[MatchResult]] = []
         tracer = self.tracer
         if tracer is None:
-            heat = self.heat
             for event in events:
-                if heat is None:
-                    scoremap = self._build_scoremap_cached(event, cache)
-                else:
-                    scoremap = self._build_scoremap_cached_heat(event, cache, heat)
-                results = self._select_topk(scoremap, k)
+                results = self._select_topk(self._build_scoremap(event, cache), k)
                 self._settle(results)
                 out.append(results)
             return out
@@ -294,7 +283,7 @@ class FXTMMatcher(TopKMatcher):
             "fxtm.match_batch", algorithm=self.name, k=k, batch=len(events)
         ) as root:
             for event in events:
-                scoremap = self._build_scoremap_cached_traced(event, cache, tracer)
+                scoremap = self._build_scoremap(event, cache, tracer)
                 with tracer.span("topk.select", candidates=len(scoremap)) as select:
                     results = self._select_topk(scoremap, k)
                     select.annotate(results=len(results))
@@ -303,230 +292,34 @@ class FXTMMatcher(TopKMatcher):
             root.annotate(probe_hits=cache.hits, probe_misses=cache.misses)
         return out
 
-    def _build_scoremap_cached(
-        self, event: Event, cache: ProbeCache
+    def _build_scoremap(
+        self,
+        event: Event,
+        cache: Optional[ProbeCache] = None,
+        tracer: Any = None,
     ) -> Dict[Any, float]:
-        """:meth:`_build_scoremap` with probes memoised in ``cache``."""
-        use_event_weights = event.has_weights
-        scoremap: Dict[Any, float] = {}
-        for attribute, value in event.known_items():
-            structure = self._master_index.get(attribute)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, _RangedAttributeIndex):
-                interval = event.interval_of(attribute)
-                qlo, qhi = interval.low, interval.high
-                matches = cache.get_ranged(attribute, qlo, qhi)
-                if matches is None:
-                    matches = structure.tree.stab(qlo, qhi)
-                    cache.put_ranged(attribute, qlo, qhi, matches)
-                if override is None:
-                    scored = cache.get_scored(attribute, qlo, qhi)
-                    if scored is None:
-                        scored = self._scored_ranged(matches, attribute, qlo, qhi)
-                        cache.put_scored(attribute, qlo, qhi, scored)
-                    self._fold_scored(scoremap, scored)
-                else:
-                    # Per-event weight overrides fold from the raw probe.
-                    self._fold_ranged(
-                        scoremap, matches, attribute, qlo, qhi, override
-                    )
-            else:
-                pairs = cache.get_discrete(attribute, value)
-                if pairs is None:
-                    bucket = structure.buckets.get(value)
-                    pairs = bucket.get_all() if bucket is not None else []
-                    cache.put_discrete(attribute, value, pairs)
-                if pairs:
-                    self._fold_discrete(scoremap, pairs, override)
-        return scoremap
+        """Algorithm 2 lines 22-39: fold every probed weight per sid.
 
-    def _build_scoremap_cached_traced(
-        self, event: Event, cache: ProbeCache, tracer: Any
-    ) -> Dict[Any, float]:
-        """The traced twin of :meth:`_build_scoremap_cached` (same folds).
-
-        Cache outcomes surface as zero-duration ``probe_cache.hit`` /
-        ``probe_cache.miss`` spans — the probe they summarise either
-        never happened (hit) or is the enclosed ``attribute.probe`` span
-        (miss).  An attached heat monitor receives the same outcomes.
+        The engine's one probe loop.  ``cache`` memoises probes, and the
+        prorated folds of attributes without an override, across a
+        batch.  ``tracer`` wraps each step in its pipeline span and
+        records cache outcomes as zero-duration ``probe_cache.hit`` /
+        ``probe_cache.miss`` spans.  An attached ``self.heat`` receives
+        every structure probe with its scan statistics, and every cache
+        outcome.  Each is consulted once per attribute probe, never per
+        candidate, and none changes a score.
         """
-        use_event_weights = event.has_weights
         heat = self.heat
-        scoremap: Dict[Any, float] = {}
-        for attribute, value in event.known_items():
-            with tracer.span("master_index.lookup", attribute=attribute) as lookup:
-                structure = self._master_index.get(attribute)
-                lookup.annotate(hit=structure is not None)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, _RangedAttributeIndex):
-                interval = event.interval_of(attribute)
-                qlo, qhi = interval.low, interval.high
-                if heat is not None:
-                    heat.record_region(attribute, qlo, qhi)
-                matches = cache.get_ranged(attribute, qlo, qhi)
-                if matches is None:
-                    tracer.record("probe_cache.miss", 0.0, attribute=attribute)
-                    with tracer.span(
-                        "attribute.probe", attribute=attribute, kind="ranged"
-                    ) as probe:
-                        matches = structure.tree.stab(qlo, qhi)
-                        probe.annotate(candidates=len(matches))
-                    if heat is not None:
-                        heat.record_cache(attribute, "ranged", hit=False)
-                        heat.record_probe(
-                            attribute, "ranged", candidates=len(matches)
-                        )
-                    cache.put_ranged(attribute, qlo, qhi, matches)
-                else:
-                    tracer.record("probe_cache.hit", 0.0, attribute=attribute)
-                    if heat is not None:
-                        heat.record_cache(attribute, "ranged", hit=True)
-                with tracer.span("candidates.score", attribute=attribute):
-                    if override is None:
-                        scored = cache.get_scored(attribute, qlo, qhi)
-                        if scored is None:
-                            scored = self._scored_ranged(
-                                matches, attribute, qlo, qhi
-                            )
-                            cache.put_scored(attribute, qlo, qhi, scored)
-                        self._fold_scored(scoremap, scored)
-                    else:
-                        self._fold_ranged(
-                            scoremap, matches, attribute, qlo, qhi, override
-                        )
-            else:
-                pairs = cache.get_discrete(attribute, value)
-                if pairs is None:
-                    tracer.record("probe_cache.miss", 0.0, attribute=attribute)
-                    with tracer.span(
-                        "attribute.probe", attribute=attribute, kind="discrete"
-                    ) as probe:
-                        bucket = structure.buckets.get(value)
-                        pairs = bucket.get_all() if bucket is not None else []
-                        probe.annotate(candidates=len(pairs))
-                    if heat is not None:
-                        heat.record_cache(attribute, "discrete", hit=False)
-                        heat.record_probe(
-                            attribute, "discrete", candidates=len(pairs)
-                        )
-                    cache.put_discrete(attribute, value, pairs)
-                else:
-                    tracer.record("probe_cache.hit", 0.0, attribute=attribute)
-                    if heat is not None:
-                        heat.record_cache(attribute, "discrete", hit=True)
-                if pairs:
-                    with tracer.span("candidates.score", attribute=attribute):
-                        self._fold_discrete(scoremap, pairs, override)
-        return scoremap
-
-    def _build_scoremap_heat(self, event: Event, heat: Any) -> Dict[Any, float]:
-        """The heat-accounting twin of :meth:`_build_scoremap`.
-
-        Identical folds; ranged probes go through
-        :meth:`IntervalTree.stab_heat` so scan lengths and skip-table
-        efficiency reach the monitor alongside probe/candidate counts.
-        """
-        use_event_weights = event.has_weights
-        scoremap: Dict[Any, float] = {}
-        for attribute, value in event.known_items():
-            structure = self._master_index.get(attribute)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, _RangedAttributeIndex):
-                interval = event.interval_of(attribute)
-                qlo, qhi = interval.low, interval.high
-                matches, scanned, skipped, blocks = structure.tree.stab_heat(qlo, qhi)
-                heat.record_probe(
-                    attribute,
-                    "ranged",
-                    candidates=len(matches),
-                    scanned=scanned,
-                    blocks_skipped=skipped,
-                    blocks_total=blocks,
-                )
-                heat.record_region(attribute, qlo, qhi)
-                self._fold_ranged(scoremap, matches, attribute, qlo, qhi, override)
-            else:
-                bucket = structure.buckets.get(value)
-                pairs = bucket.get_all() if bucket is not None else []
-                heat.record_probe(attribute, "discrete", candidates=len(pairs))
-                if pairs:
-                    self._fold_discrete(scoremap, pairs, override)
-        return scoremap
-
-    def _build_scoremap_cached_heat(
-        self, event: Event, cache: ProbeCache, heat: Any
-    ) -> Dict[Any, float]:
-        """The heat-accounting twin of :meth:`_build_scoremap_cached`.
-
-        A cache hit is recorded as such (the structure was *not*
-        probed); a miss records both the miss and the physical probe
-        with its scan statistics, so per-attribute hit ratios and probe
-        counts stay consistent with what actually ran.
-        """
-        use_event_weights = event.has_weights
-        scoremap: Dict[Any, float] = {}
-        for attribute, value in event.known_items():
-            structure = self._master_index.get(attribute)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, _RangedAttributeIndex):
-                interval = event.interval_of(attribute)
-                qlo, qhi = interval.low, interval.high
-                heat.record_region(attribute, qlo, qhi)
-                matches = cache.get_ranged(attribute, qlo, qhi)
-                if matches is None:
-                    heat.record_cache(attribute, "ranged", hit=False)
-                    stabbed = structure.tree.stab_heat(qlo, qhi)
-                    matches, scanned, skipped, blocks = stabbed
-                    heat.record_probe(
-                        attribute,
-                        "ranged",
-                        candidates=len(matches),
-                        scanned=scanned,
-                        blocks_skipped=skipped,
-                        blocks_total=blocks,
-                    )
-                    cache.put_ranged(attribute, qlo, qhi, matches)
-                else:
-                    heat.record_cache(attribute, "ranged", hit=True)
-                if override is None:
-                    scored = cache.get_scored(attribute, qlo, qhi)
-                    if scored is None:
-                        scored = self._scored_ranged(matches, attribute, qlo, qhi)
-                        cache.put_scored(attribute, qlo, qhi, scored)
-                    self._fold_scored(scoremap, scored)
-                else:
-                    self._fold_ranged(
-                        scoremap, matches, attribute, qlo, qhi, override
-                    )
-            else:
-                pairs = cache.get_discrete(attribute, value)
-                if pairs is None:
-                    heat.record_cache(attribute, "discrete", hit=False)
-                    bucket = structure.buckets.get(value)
-                    pairs = bucket.get_all() if bucket is not None else []
-                    heat.record_probe(attribute, "discrete", candidates=len(pairs))
-                    cache.put_discrete(attribute, value, pairs)
-                else:
-                    heat.record_cache(attribute, "discrete", hit=True)
-                if pairs:
-                    self._fold_discrete(scoremap, pairs, override)
-        return scoremap
-
-    def _build_scoremap(self, event: Event) -> Dict[Any, float]:
-        """Algorithm 2 lines 22-39: fold every probed weight per sid."""
         use_event_weights = event.has_weights
         # Line 22: scoremap tracks scores of partially matched subscriptions.
         scoremap: Dict[Any, float] = {}
         for attribute, value in event.known_items():
-            structure = self._master_index.get(attribute)
+            if tracer is None:
+                structure = self._master_index.get(attribute)
+            else:
+                with tracer.span("master_index.lookup", attribute=attribute) as lookup:
+                    structure = self._master_index.get(attribute)
+                    lookup.annotate(hit=structure is not None)
             if structure is None:
                 # No subscription constrains this attribute; partial
                 # matching means it simply cannot affect any score.
@@ -534,62 +327,89 @@ class FXTMMatcher(TopKMatcher):
             override = event.override_weight(attribute) if use_event_weights else None
             if isinstance(structure, _RangedAttributeIndex):
                 interval = event.interval_of(attribute)
-                matches = structure.tree.stab(interval.low, interval.high)
-                self._fold_ranged(
-                    scoremap, matches, attribute, interval.low, interval.high, override
-                )
-            else:
-                bucket = structure.buckets.get(value)
-                if bucket is None:
-                    continue
-                self._fold_discrete(scoremap, bucket.get_all(), override)
-        return scoremap
-
-    def _build_scoremap_traced(self, event: Event, tracer: Any) -> Dict[Any, float]:
-        """The traced twin of :meth:`_build_scoremap` (same folds).
-
-        When a heat monitor is also attached its probe/region counters
-        are fed here too (scan statistics are a heat-only feature — the
-        traced probe uses the plain stab).
-        """
-        use_event_weights = event.has_weights
-        heat = self.heat
-        scoremap: Dict[Any, float] = {}
-        for attribute, value in event.known_items():
-            with tracer.span("master_index.lookup", attribute=attribute) as lookup:
-                structure = self._master_index.get(attribute)
-                lookup.annotate(hit=structure is not None)
-            if structure is None:
-                continue
-            override = event.override_weight(attribute) if use_event_weights else None
-            if isinstance(structure, _RangedAttributeIndex):
-                interval = event.interval_of(attribute)
-                with tracer.span(
-                    "attribute.probe", attribute=attribute, kind="ranged"
-                ) as probe:
-                    matches = structure.tree.stab(interval.low, interval.high)
-                    probe.annotate(candidates=len(matches))
+                qlo, qhi = interval.low, interval.high
                 if heat is not None:
-                    heat.record_probe(attribute, "ranged", candidates=len(matches))
-                    heat.record_region(attribute, interval.low, interval.high)
-                with tracer.span("candidates.score", attribute=attribute):
-                    self._fold_ranged(
-                        scoremap, matches, attribute, interval.low, interval.high, override
-                    )
+                    heat.record_region(attribute, qlo, qhi)
+                matches = None if cache is None else cache.get_ranged(attribute, qlo, qhi)
+                if matches is None:
+                    tree = structure.tree
+                    if cache is not None:
+                        self._record_cache(attribute, "ranged", False, tracer, heat)
+                    if tracer is None:
+                        matches = tree.stab(qlo, qhi)
+                    else:
+                        with tracer.span(
+                            "attribute.probe", attribute=attribute, kind="ranged"
+                        ) as probe:
+                            matches = tree.stab(qlo, qhi)
+                            probe.annotate(candidates=len(matches))
+                    if heat is not None:
+                        scanned, skipped, blocks = tree.scan_stats(qlo, qhi)
+                        heat.record_probe(
+                            attribute,
+                            "ranged",
+                            candidates=len(matches),
+                            scanned=scanned,
+                            blocks_skipped=skipped,
+                            blocks_total=blocks,
+                        )
+                    if cache is not None:
+                        cache.put_ranged(attribute, qlo, qhi, matches)
+                else:
+                    self._record_cache(attribute, "ranged", True, tracer, heat)
+                if tracer is None:
+                    self._fold_ranged(scoremap, matches, attribute, qlo, qhi, override, cache)
+                else:
+                    with tracer.span("candidates.score", attribute=attribute):
+                        self._fold_ranged(
+                            scoremap, matches, attribute, qlo, qhi, override, cache
+                        )
             else:
-                with tracer.span(
-                    "attribute.probe", attribute=attribute, kind="discrete"
-                ) as probe:
-                    bucket = structure.buckets.get(value)
-                    pairs = bucket.get_all() if bucket is not None else []
-                    probe.annotate(candidates=len(pairs))
-                if heat is not None:
-                    heat.record_probe(attribute, "discrete", candidates=len(pairs))
+                pairs = None if cache is None else cache.get_discrete(attribute, value)
+                if pairs is None:
+                    if cache is not None:
+                        self._record_cache(attribute, "discrete", False, tracer, heat)
+                    if tracer is None:
+                        bucket = structure.buckets.get(value)
+                        pairs = bucket.get_all() if bucket is not None else []
+                    else:
+                        with tracer.span(
+                            "attribute.probe", attribute=attribute, kind="discrete"
+                        ) as probe:
+                            bucket = structure.buckets.get(value)
+                            pairs = bucket.get_all() if bucket is not None else []
+                            probe.annotate(candidates=len(pairs))
+                    if heat is not None:
+                        heat.record_probe(attribute, "discrete", candidates=len(pairs))
+                    if cache is not None:
+                        cache.put_discrete(attribute, value, pairs)
+                else:
+                    self._record_cache(attribute, "discrete", True, tracer, heat)
                 if not pairs:
                     continue
-                with tracer.span("candidates.score", attribute=attribute):
+                if tracer is None:
                     self._fold_discrete(scoremap, pairs, override)
+                else:
+                    with tracer.span("candidates.score", attribute=attribute):
+                        self._fold_discrete(scoremap, pairs, override)
         return scoremap
+
+    @staticmethod
+    def _record_cache(
+        attribute: str, kind: str, hit: bool, tracer: Any, heat: Any
+    ) -> None:
+        """Report one probe-cache outcome to the tracer and heat monitor.
+
+        A hit means the structure was not probed; a miss precedes the
+        ``attribute.probe`` span it summarises.
+        """
+        if tracer is not None:
+            if hit:
+                tracer.record("probe_cache.hit", 0.0, attribute=attribute)
+            else:
+                tracer.record("probe_cache.miss", 0.0, attribute=attribute)
+        if heat is not None:
+            heat.record_cache(attribute, kind, hit=hit)
 
     def _fold_ranged(
         self,
@@ -599,8 +419,21 @@ class FXTMMatcher(TopKMatcher):
         qlo: Any,
         qhi: Any,
         override: Any,
+        cache: Optional[ProbeCache] = None,
     ) -> None:
-        """Fold one ranged attribute's stabbed entries into the scoremap."""
+        """Fold one ranged attribute's stabbed entries into the scoremap.
+
+        With a ``cache`` and no per-event override, the stab's prorated
+        ``(sid, subscore)`` pairs are memoised under the stab key and
+        folded from there; overrides always fold from the raw probe.
+        """
+        if cache is not None and override is None:
+            scored = cache.get_scored(attribute, qlo, qhi)
+            if scored is None:
+                scored = self._scored_ranged(matches, attribute, qlo, qhi)
+                cache.put_scored(attribute, qlo, qhi, scored)
+            self._fold_scored(scoremap, scored)
+            return
         aggregation = self.aggregation
         combine = aggregation.combine
         zero = aggregation.zero

@@ -46,22 +46,18 @@ __all__ = ["SamplingProfiler", "PHASE_OF_FRAME"]
 PHASE_OF_FRAME: Dict[Tuple[str, str], str] = {
     # Reference engine (repro/core/matcher.py + structures).
     ("interval_tree", "stab"): "attribute.probe",
-    ("interval_tree", "stab_heat"): "attribute.probe",
     ("interval_tree", "stab_point"): "attribute.probe",
+    ("interval_tree", "scan_stats"): "attribute.probe",
+    ("interval_tree", "skip_scan_stats"): "attribute.probe",
     ("soa", "candidates"): "attribute.probe",
-    ("soa", "candidates_heat"): "attribute.probe",
     ("soa", "cutoff"): "attribute.probe",
+    ("soa", "scan_stats"): "attribute.probe",
     ("matcher", "_fold_ranged"): "candidates.score",
     ("matcher", "_fold_scored"): "candidates.score",
     ("matcher", "_fold_discrete"): "candidates.score",
     ("matcher", "_scored_ranged"): "candidates.score",
     ("matcher", "_select_topk"): "topk.select",
     ("matcher", "_build_scoremap"): "master_index.lookup",
-    ("matcher", "_build_scoremap_cached"): "master_index.lookup",
-    ("matcher", "_build_scoremap_traced"): "master_index.lookup",
-    ("matcher", "_build_scoremap_cached_traced"): "master_index.lookup",
-    ("matcher", "_build_scoremap_heat"): "master_index.lookup",
-    ("matcher", "_build_scoremap_cached_heat"): "master_index.lookup",
     # Array engine (repro/core/array_matcher.py).
     ("array_matcher", "_fold_ranged_python"): "candidates.score",
     ("array_matcher", "_fold_ranged_numpy"): "candidates.score",
@@ -70,9 +66,6 @@ PHASE_OF_FRAME: Dict[Tuple[str, str], str] = {
     ("array_matcher", "_scored_candidates"): "candidates.score",
     ("array_matcher", "_select_topk"): "topk.select",
     ("array_matcher", "_fold_event"): "master_index.lookup",
-    ("array_matcher", "_fold_event_cached"): "master_index.lookup",
-    ("array_matcher", "_fold_event_heat"): "master_index.lookup",
-    ("array_matcher", "_fold_event_cached_heat"): "master_index.lookup",
     # Whole-match roots (repro/core/matcher.py + stats.py).  Innermost
     # frames above win, so these only label samples taken in the match
     # loop's own bookkeeping rather than inside a pipeline phase.

@@ -54,11 +54,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import attrgetter
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidIntervalError
 
-__all__ = ["IntervalTree", "IntervalEntry"]
+__all__ = ["IntervalTree", "IntervalEntry", "skip_scan_stats"]
 
 #: An entry as returned from queries: (low, high, sid, weight).
 IntervalEntry = Tuple[float, float, Any, float]
@@ -88,6 +88,30 @@ class _Node:
 
 #: Bisect key for the flattened stab view (sorted by low endpoint).
 _node_low: Callable[[_Node], float] = attrgetter("low")
+
+
+def skip_scan_stats(
+    block_max: Sequence[float], cutoff: int, qlo: float
+) -> Tuple[int, int, int]:
+    """What a skip-table scan of entries ``[0, cutoff)`` for ``qlo`` costs.
+
+    Returns ``(scanned, blocks_skipped, blocks_total)``: the entries the
+    block scan examines, the ``_FLAT_BLOCK``-entry blocks whose
+    ``max_high`` lies below ``qlo`` (skipped whole), and the blocks in
+    range at all.  Shared by the interval tree's flattened view and
+    :class:`~repro.structures.soa.SoARangedIndex`, whose skip tables have
+    the same layout, so both engines report the same counts for the same
+    probe — whichever backend produced the candidates.
+    """
+    blocks_total = (cutoff + _FLAT_BLOCK - 1) // _FLAT_BLOCK
+    scanned = 0
+    blocks_skipped = 0
+    for block in range(blocks_total):
+        if block_max[block] < qlo:
+            blocks_skipped += 1
+        else:
+            scanned += min(_FLAT_BLOCK, cutoff - block * _FLAT_BLOCK)
+    return scanned, blocks_skipped, blocks_total
 
 
 def _height(node: Optional[_Node]) -> int:
@@ -375,41 +399,23 @@ class IntervalTree:
                     out.append((node.low, node.high, node.sid, node.weight))
         return out
 
-    def stab_heat(
-        self, qlo: float, qhi: float
-    ) -> Tuple[List[IntervalEntry], int, int, int]:
-        """:meth:`stab` plus scan accounting for the heat monitor.
+    def scan_stats(self, qlo: float, qhi: float) -> Tuple[int, int, int]:
+        """Scan accounting of :meth:`stab` for the heat monitor.
 
-        Returns ``(entries, scanned, blocks_skipped, blocks_total)``:
-        how many nodes the scan examined, how many skip-table blocks the
-        ``max_high`` table skipped whole, and how many blocks were in
-        range at all.  Kept as a separate method so the plain stab path
-        carries no accounting arithmetic.
+        Returns ``(scanned, blocks_skipped, blocks_total)`` for the same
+        query (see :func:`skip_scan_stats`), read off the skip table and
+        the ``bisect_right`` cutoff without touching an entry, so the
+        stab itself carries no accounting arithmetic.
         """
         if qlo > qhi:
             raise InvalidIntervalError(qlo, qhi)
-        out: List[IntervalEntry] = []
         if self._root is None:
-            return out, 0, 0, 0
+            return 0, 0, 0
         flat = self._flat
         if flat is None or flat[0] != self._epoch:
             flat = self._build_flat()
         _build_epoch, ordered, block_max = flat
-        cutoff = bisect_right(ordered, qhi, key=_node_low)
-        scanned = 0
-        blocks_skipped = 0
-        blocks_total = 0
-        for start in range(0, cutoff, _FLAT_BLOCK):
-            blocks_total += 1
-            if block_max[start // _FLAT_BLOCK] < qlo:
-                blocks_skipped += 1
-                continue
-            stop = min(start + _FLAT_BLOCK, cutoff)
-            scanned += stop - start
-            for node in ordered[start:stop]:
-                if node.high >= qlo:
-                    out.append((node.low, node.high, node.sid, node.weight))
-        return out, scanned, blocks_skipped, blocks_total
+        return skip_scan_stats(block_max, bisect_right(ordered, qhi, key=_node_low), qlo)
 
     def stab_point(self, value: float) -> List[IntervalEntry]:
         """Return all entries containing the point ``value``."""

@@ -43,6 +43,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidIntervalError
+from repro.structures.interval_tree import skip_scan_stats
 
 try:  # Optional acceleration only; the pure-python path is mandatory.
     import numpy as _np
@@ -62,7 +63,8 @@ __all__ = [
 ]
 
 #: Entries per skip block; identical to the flattened stab view's block
-#: size so the two engines skip the same work on the same workloads.
+#: size so the two engines skip the same work on the same workloads, and
+#: so :func:`skip_scan_stats` reads this skip table correctly.
 _BLOCK = 64
 
 
@@ -236,38 +238,18 @@ class SoARangedIndex:
                     append(index)
         return out
 
-    def candidates_heat(
-        self, qlo: float, qhi: float
-    ) -> Tuple[List[int], int, int, int]:
-        """:meth:`candidates` plus scan accounting for the heat monitor.
+    def scan_stats(self, qlo: float, qhi: float) -> Tuple[int, int, int]:
+        """Scan accounting of :meth:`candidates` for the heat monitor.
 
-        Returns ``(indices, scanned, blocks_skipped, blocks_total)``.
-        Always takes the scalar block-skip path — the counters describe
-        skip-table behaviour, which the vectorised compare bypasses —
-        and the plain :meth:`candidates` path carries no accounting.
+        Returns ``(scanned, blocks_skipped, blocks_total)`` from the skip
+        table and the cutoff alone (:func:`skip_scan_stats`): the counts
+        describe the block-skip scan even when the numpy backend answered
+        the probe with a vectorised compare.
         """
         stop = bisect_right(self.los, qhi)
         if not stop:
-            return [], 0, 0, 0
-        view = self.ensure_view(want_numpy=False)
-        his = self.his
-        block_max = view[2]
-        out: List[int] = []
-        append = out.append
-        scanned = 0
-        blocks_skipped = 0
-        blocks_total = 0
-        for start in range(0, stop, _BLOCK):
-            blocks_total += 1
-            if block_max[start // _BLOCK] < qlo:
-                blocks_skipped += 1
-                continue
-            block_stop = min(start + _BLOCK, stop)
-            scanned += block_stop - start
-            for index in range(start, block_stop):
-                if his[index] >= qlo:
-                    append(index)
-        return out, scanned, blocks_skipped, blocks_total
+            return 0, 0, 0
+        return skip_scan_stats(self.ensure_view()[2], stop, qlo)
 
 
 class SoADiscreteBucket:

@@ -20,7 +20,7 @@ Concretely each record carries:
 * ``votes`` and ``rating`` interval attributes (as in the IMDB twin);
 * an ``artist`` discrete attribute — a Zipf-popular id out of
   ``artist_universe`` (present with probability ``artist_presence``);
-* one or more ``genre:<id>`` presence attributes, Zipf-popular out of
+* one or more ``genre_<id>`` presence attributes, Zipf-popular out of
   ``genre_universe``, the count shaped so the record's expected attribute
   total is ``5.4``.
 
@@ -175,7 +175,7 @@ class YahooWorkload:
         genre_count = 1 + sum(1 for _ in range(3) if rng.random() < config.genre_extra_p)
         genres = self._genres.sample_distinct(rng, min(genre_count, self._genres.size))
         for genre in genres:
-            values[f"genre:{genre}"] = True
+            values[f"genre_{genre}"] = True
         return values
 
     def _subscription(self, rng: random.Random, sid: int, width_scale: float) -> Subscription:

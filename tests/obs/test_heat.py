@@ -265,6 +265,48 @@ class TestSkewedWorkloadAcceptance:
             assert probes.labels(attribute=heat.attribute).value == heat.probes
 
 
+def heat_profile(factory, traced, batched):
+    """The skewed workload's heat document from one engine configuration."""
+    from repro.obs.tracing import Tracer
+
+    matcher = factory()
+    matcher.heat = HeatMonitor()
+    if traced:
+        matcher.tracer = Tracer()
+    for subscription in skewed_subscriptions():
+        matcher.add_subscription(subscription)
+    if batched:
+        matcher.match_batch(skewed_events(), k=3)
+    else:
+        for event in skewed_events():
+            matcher.match(event, k=3)
+    return matcher.heat.snapshot().to_json()
+
+
+def _array_numpy():
+    from repro.structures.soa import numpy_available
+
+    if not numpy_available():
+        pytest.skip("numpy backend unavailable")
+    return ArrayTopKMatcher(backend="numpy")
+
+
+class TestHeatIsOneAccounting:
+    """Tracing, engine and backend never change what heat records."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["match", "match_batch"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "factory",
+        [FXTMMatcher, lambda: ArrayTopKMatcher(backend="python"), _array_numpy],
+        ids=["fx-tm", "fx-tm-array-python", "fx-tm-array-numpy"],
+    )
+    def test_profile_equals_untraced_reference(self, factory, traced, batched):
+        expected = heat_profile(FXTMMatcher, traced=False, batched=batched)
+        assert expected["attributes"][0]["scanned"] > 0
+        assert heat_profile(factory, traced, batched) == expected
+
+
 class TestTracedHeatCombination:
     def test_heat_records_under_tracing_too(self):
         from repro.obs.tracing import Tracer

@@ -58,15 +58,25 @@ class TestDeterministicAttribution:
         assert profiler.phase_samples["attribute.probe"] == 1
         assert profiler.phase_samples["topk.select"] == 1
 
-    def test_heat_twins_attribute_to_the_same_phases(self):
+    def test_heat_scan_stats_attribute_to_the_probe_phase(self):
         profiler = SamplingProfiler()
         profiler.sample_once(
-            stacks=[stack(("repro/structures/interval_tree.py", "stab_heat"))]
+            stacks=[
+                stack(
+                    ("repro/structures/interval_tree.py", "skip_scan_stats"),
+                    ("repro/structures/interval_tree.py", "scan_stats"),
+                    ("repro/core/matcher.py", "_build_scoremap"),
+                ),
+                stack(
+                    ("repro/structures/soa.py", "scan_stats"),
+                    ("repro/core/array_matcher.py", "_fold_event"),
+                ),
+            ]
         )
         profiler.sample_once(
-            stacks=[stack(("repro/core/matcher.py", "_build_scoremap_cached_heat"))]
+            stacks=[stack(("repro/core/array_matcher.py", "_fold_event"))]
         )
-        assert profiler.phase_samples["attribute.probe"] == 1
+        assert profiler.phase_samples["attribute.probe"] == 2
         assert profiler.phase_samples["master_index.lookup"] == 1
 
 

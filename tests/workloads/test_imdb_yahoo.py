@@ -87,7 +87,29 @@ class TestYahoo:
         for sub in yahoo.subscriptions(count=30):
             kinds = {c.attribute.split(":")[0] for c in sub.constraints}
             assert "votes" in kinds and "rating" in kinds
-            assert any(c.attribute.startswith("genre:") for c in sub.constraints)
+            assert any(c.attribute.startswith("genre_") for c in sub.constraints)
+
+    def test_rendered_requests_parse_back(self):
+        """Every generated name is one the request grammar accepts."""
+        from repro.core.parser import (
+            parse_event,
+            parse_subscription,
+            render_event,
+            render_subscription,
+        )
+
+        workload = YahooWorkload(YahooWorkloadConfig(n=200))
+        for sub in workload.subscriptions():
+            parsed = parse_subscription(sub.sid, render_subscription(sub))
+            assert [(c.attribute, c.weight) for c in parsed.constraints] == [
+                (c.attribute, c.weight) for c in sub.constraints
+            ]
+        for event in workload.events(200):
+            parsed = parse_event(render_event(event))
+            assert parsed.attributes == event.attributes
+            assert [parsed.weight_for(name) for name in parsed.attributes] == [
+                event.weight_for(name) for name in event.attributes
+            ]
 
     def test_artist_presence_rate(self, yahoo):
         subs = yahoo.subscriptions(count=400)
