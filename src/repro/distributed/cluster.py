@@ -32,9 +32,10 @@ snapshots or surviving replicas.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, Generic, List, Optional, Sequence, Set, Type, TypeVar, Union
 
 from repro.core.events import Event
 from repro.core.results import MatchResult
@@ -59,12 +60,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class DistributedMatchOutcome:
-    """Everything the simulation records about one distributed match."""
+#: The per-event result type: one top-k list, or one per batched event.
+_Result = TypeVar("_Result")
 
-    #: The aggregated system-wide top-k, best first.
-    results: List[MatchResult]
+
+@dataclass
+class _OverlayOutcome(Generic[_Result]):
+    """What one walk of the overlay records, for one event or a batch."""
+
+    #: The aggregated system-wide top-k, best first (a batch holds one
+    #: such list per event, in request order).
+    results: List[_Result]
     #: Measured wall seconds of each leaf's local match (0.0 for leaves
     #: that contributed nothing this match).
     local_seconds: List[float]
@@ -96,6 +102,11 @@ class DistributedMatchOutcome:
         """Whether any registered subscription was unreachable."""
         return self.coverage < 1.0
 
+
+@dataclass
+class DistributedMatchOutcome(_OverlayOutcome[MatchResult]):
+    """Everything the simulation records about one distributed match."""
+
     @property
     def mean_local_seconds(self) -> float:
         """Average leaf matching time over *contributing* leaves.
@@ -123,7 +134,7 @@ class DistributedMatchOutcome:
 
 
 @dataclass
-class DistributedBatchOutcome:
+class DistributedBatchOutcome(_OverlayOutcome[List[MatchResult]]):
     """Everything recorded about one distributed *batched* match.
 
     The batch ships whole: one dissemination hop per leaf and one hop
@@ -133,37 +144,54 @@ class DistributedBatchOutcome:
     that times out contributes to no event of the batch.
     """
 
-    #: Per-event aggregated top-k, in request order.
-    results: List[List[MatchResult]]
-    #: Measured wall seconds of each leaf's local *batched* match (0.0
-    #: for leaves that contributed nothing).
-    local_seconds: List[float]
-    #: Simulated end-to-end seconds for the whole batch.
-    total_seconds: float
-    #: Simulated seconds spent inside the aggregation overlay only.
-    aggregation_seconds: float = 0.0
-    #: Measured wall seconds spent in merge computations.
-    merge_compute_seconds: float = 0.0
-    #: Leaves whose results did not reach the root this batch.
-    failed_leaves: List[int] = field(default_factory=list)
-    #: Fraction of registered subscriptions reachable this batch.
-    coverage: float = 1.0
-    #: Re-attempts made anywhere (dissemination, leaf, aggregation hops).
-    retries_attempted: int = 0
-    #: Attempts that ended in a simulated timeout anywhere in the overlay.
-    hops_timed_out: int = 0
-    #: Leaves skipped because they were quarantined at batch start.
-    quarantined_leaves: List[int] = field(default_factory=list)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any registered subscription was unreachable."""
-        return self.coverage < 1.0
-
     @property
     def events(self) -> int:
         """Number of events in the batch."""
         return len(self.results)
+
+
+#: The outcome type one overlay walk builds.
+_Outcome = TypeVar("_Outcome", DistributedMatchOutcome, DistributedBatchOutcome)
+
+
+@dataclass
+class _Walk:
+    """The state of one walk of the overlay over a list of events.
+
+    A single :meth:`DistributedTopKSystem.match` walks with one event and
+    ``batched`` unset: its leaves run ``match`` rather than
+    ``match_batch``, and its spans carry no batch labels.
+    """
+
+    events: Sequence[Event]
+    k: int
+    batched: bool
+    view: Optional[MatchFaults]
+    #: Only the system-level injector feeds the health tracker.
+    record_health: bool
+    rng: random.Random
+    #: The simulated clock when the walk started.
+    now: float
+    #: Leaves whose answers reached the overlay; a dropped aggregation
+    #: hop removes its subtree's leaves again.
+    delivered: Set[int] = field(default_factory=set)
+    #: Per leaf: its per-event results and the simulated moment (from
+    #: the walk's start) they, or their abandonment, are known.
+    partials: List[List[List[MatchResult]]] = field(default_factory=list)
+    ready_at: List[float] = field(default_factory=list)
+    retries: int = 0
+    timeouts: int = 0
+    agg_retries: int = 0
+    agg_timeouts: int = 0
+    merge_seconds: float = 0.0
+
+    def nothing(self) -> List[List[MatchResult]]:
+        """An empty result list per event: a lost contribution."""
+        return [[] for _ in self.events]
+
+    def label(self, key: str) -> Dict[str, int]:
+        """``{key: len(events)}`` for span attributes of a batch only."""
+        return {key: len(self.events)} if self.batched else {}
 
 
 @dataclass
@@ -178,10 +206,16 @@ class RecoveryReport:
     #: Sids that were owned by the leaf but could not be recovered from
     #: either source; they are dropped from the cluster's ownership map.
     lost: List[Any] = field(default_factory=list)
+    #: Subscriptions placed on the leaf while it was down, kept as is.
+    accepted_while_down: int = 0
 
     @property
     def recovered(self) -> int:
-        return self.restored_from_snapshot + self.copied_from_replicas
+        return (
+            self.accepted_while_down
+            + self.restored_from_snapshot
+            + self.copied_from_replicas
+        )
 
 
 class _ClusterMetrics:
@@ -399,7 +433,9 @@ class DistributedTopKSystem:
 
         Local matches and merges execute for real (sequentially here, but
         timed individually so the simulation can account them as
-        parallel); hops follow the latency model.
+        parallel); hops follow the latency model.  The event walks the
+        overlay exactly as a batch of one would (see :meth:`match_batch`),
+        except that each leaf runs its single-event ``match``.
 
         ``faults`` overrides the system-level fault injector for this
         call (a :class:`FaultPlan` gets a fresh injector, so the same
@@ -417,113 +453,7 @@ class DistributedTopKSystem:
         exactly when coverage dropped below 1.0.  Timeouts, retries, and
         exponential backoff all accrue to the simulated latency.
         """
-        view = self._fault_view(faults)
-        record_health = faults is None
-        rng = self.latency.rng()
-        policy = self.retry
-        now = self.simulated_clock
-        counters = {"retries": 0, "timeouts": 0, "agg_retries": 0, "agg_timeouts": 0}
-        tracer = self.tracer
-        root_span = (
-            tracer.begin("distributed.match", k=k, nodes=len(self.nodes))
-            if tracer is not None
-            else None
-        )
-        try:
-            partials: List[List[MatchResult]] = []
-            ready_at: List[float] = []
-            local_seconds: List[float] = []
-            delivered: Set[int] = set()
-            quarantined: List[int] = []
-            event_size = event.size
-
-            for node in self.nodes:
-                leaf = node.node_id
-                probing = False
-                if self.health.is_quarantined(leaf):
-                    if self.health.probe_due(leaf, now):
-                        probing = True
-                    else:
-                        quarantined.append(leaf)
-                        partials.append([])
-                        local_seconds.append(0.0)
-                        ready_at.append(0.0)
-                        if tracer is not None:
-                            tracer.record(
-                                "leaf.quarantined", 0.0, leaf=leaf, simulated=True
-                            )
-                        continue
-                if tracer is not None:
-                    with tracer.span("leaf.dispatch", leaf=leaf, probe=probing) as leaf_span:
-                        results, elapsed, ready, success = self._attempt_leaf(
-                            node, event, k, event_size, rng, view, policy, now,
-                            counters, single_attempt=probing,
-                            record_health=record_health,
-                        )
-                        leaf_span.annotate(
-                            outcome="delivered" if success else "failed",
-                            simulated=True,
-                        )
-                        leaf_span.set_duration(ready)
-                else:
-                    results, elapsed, ready, success = self._attempt_leaf(
-                        node, event, k, event_size, rng, view, policy, now,
-                        counters, single_attempt=probing, record_health=record_health,
-                    )
-                partials.append(results)
-                local_seconds.append(elapsed)
-                ready_at.append(ready)
-                if success:
-                    delivered.add(leaf)
-
-            merge_compute = [0.0]
-            root_results, root_time = self._aggregate(
-                self.overlay.root, partials, ready_at, k, rng, merge_compute,
-                delivered, view, policy, counters,
-            )
-            # Root -> controller: final hop with the aggregated results.
-            final_hop = self.latency.hop(len(root_results), rng)
-            total = root_time + final_hop
-            if tracer is not None:
-                tracer.record(
-                    "root.hop", final_hop, results=len(root_results), simulated=True
-                )
-            slowest_path = max(ready_at) if ready_at else 0.0
-            outcome = DistributedMatchOutcome(
-                results=root_results,
-                local_seconds=local_seconds,
-                total_seconds=total,
-                aggregation_seconds=total - slowest_path,
-                merge_compute_seconds=merge_compute[0],
-                failed_leaves=sorted(set(range(len(self.nodes))) - delivered),
-                coverage=self._coverage(delivered),
-                retries_attempted=counters["retries"] + counters["agg_retries"],
-                hops_timed_out=counters["timeouts"] + counters["agg_timeouts"],
-                quarantined_leaves=quarantined,
-            )
-        finally:
-            if tracer is not None:
-                tracer.end()
-        if root_span is not None:
-            root_span.annotate(
-                coverage=outcome.coverage,
-                degraded=outcome.degraded,
-                retries=outcome.retries_attempted,
-                failed_leaves=outcome.failed_leaves,
-                simulated=True,
-            )
-            root_span.set_duration(total)
-        if self.exemplars is not None:
-            self.exemplars.offer(
-                root_span,
-                total,
-                degraded=outcome.degraded,
-                coverage=outcome.coverage,
-                simulated=True,
-            )
-        self._record_match_metrics(outcome, counters)
-        self.simulated_clock += total
-        return outcome
+        return self._walk_overlay(DistributedMatchOutcome, [event], k, faults)
 
     def match_batch(
         self,
@@ -545,40 +475,56 @@ class DistributedTopKSystem:
         ``faults`` behaves as in :meth:`match`: a per-call plan is a
         what-if injection that does not feed the health tracker.
         """
-        view = self._fault_view(faults)
-        record_health = faults is None
-        rng = self.latency.rng()
+        return self._walk_overlay(DistributedBatchOutcome, events, k, faults)
+
+    def _walk_overlay(
+        self,
+        kind: Type[_Outcome],
+        events: Sequence[Event],
+        k: int,
+        faults: Union[FaultPlan, FaultInjector, None],
+    ) -> _Outcome:
+        """The one overlay walk behind :meth:`match` and :meth:`match_batch`.
+
+        Every leaf is tried (or skipped while quarantined), the partials
+        are merged up the aggregation tree, and one final hop carries
+        the answer to the controller.  ``kind`` picks the outcome type; a
+        :class:`DistributedMatchOutcome` walk carries exactly one event.
+        """
+        batched = kind is DistributedBatchOutcome
         policy = self.retry
-        now = self.simulated_clock
-        counters = {"retries": 0, "timeouts": 0, "agg_retries": 0, "agg_timeouts": 0}
+        walk = _Walk(
+            events=events,
+            k=k,
+            batched=batched,
+            view=self._fault_view(faults),
+            record_health=faults is None,
+            rng=self.latency.rng(),
+            now=self.simulated_clock,
+        )
         tracer = self.tracer
         root_span = (
             tracer.begin(
-                "distributed.match_batch",
-                k=k, nodes=len(self.nodes), batch=len(events),
+                "distributed.match_batch" if batched else "distributed.match",
+                k=k, nodes=len(self.nodes), **walk.label("batch"),
             )
             if tracer is not None
             else None
         )
         try:
-            partials: List[List[List[MatchResult]]] = []
-            ready_at: List[float] = []
             local_seconds: List[float] = []
-            delivered: Set[int] = set()
             quarantined: List[int] = []
-            payload = sum(event.size for event in events)
-
             for node in self.nodes:
                 leaf = node.node_id
                 probing = False
                 if self.health.is_quarantined(leaf):
-                    if self.health.probe_due(leaf, now):
+                    if self.health.probe_due(leaf, walk.now):
                         probing = True
                     else:
                         quarantined.append(leaf)
-                        partials.append([[] for _ in events])
+                        walk.partials.append(walk.nothing())
                         local_seconds.append(0.0)
-                        ready_at.append(0.0)
+                        walk.ready_at.append(0.0)
                         if tracer is not None:
                             tracer.record(
                                 "leaf.quarantined", 0.0, leaf=leaf, simulated=True
@@ -586,10 +532,8 @@ class DistributedTopKSystem:
                         continue
                 if tracer is not None:
                     with tracer.span("leaf.dispatch", leaf=leaf, probe=probing) as leaf_span:
-                        batches, elapsed, ready, success = self._attempt_leaf_batch(
-                            node, events, k, payload, rng, view, policy, now,
-                            counters, single_attempt=probing,
-                            record_health=record_health,
+                        batches, elapsed, ready, success = self._attempt_leaf(
+                            node, walk, policy, single_attempt=probing
                         )
                         leaf_span.annotate(
                             outcome="delivered" if success else "failed",
@@ -597,43 +541,33 @@ class DistributedTopKSystem:
                         )
                         leaf_span.set_duration(ready)
                 else:
-                    batches, elapsed, ready, success = self._attempt_leaf_batch(
-                        node, events, k, payload, rng, view, policy, now,
-                        counters, single_attempt=probing, record_health=record_health,
+                    batches, elapsed, ready, success = self._attempt_leaf(
+                        node, walk, policy, single_attempt=probing
                     )
-                partials.append(batches)
+                walk.partials.append(batches)
                 local_seconds.append(elapsed)
-                ready_at.append(ready)
+                walk.ready_at.append(ready)
                 if success:
-                    delivered.add(leaf)
+                    walk.delivered.add(leaf)
 
-            merge_compute = [0.0]
-            root_results, root_time = self._aggregate_batch(
-                self.overlay.root, partials, ready_at, len(events), k, rng,
-                merge_compute, delivered, view, policy, counters,
-            )
+            root_results, root_time = self._aggregate(self.overlay.root, walk, policy)
             # Root -> controller: one final hop with every event's results.
-            final_hop = self.latency.hop(
-                sum(len(results) for results in root_results), rng
-            )
+            carried = sum(len(results) for results in root_results)
+            final_hop = self.latency.hop(carried, walk.rng)
             total = root_time + final_hop
             if tracer is not None:
-                tracer.record(
-                    "root.hop", final_hop,
-                    results=sum(len(results) for results in root_results),
-                    simulated=True,
-                )
-            slowest_path = max(ready_at) if ready_at else 0.0
-            outcome = DistributedBatchOutcome(
-                results=root_results,
+                tracer.record("root.hop", final_hop, results=carried, simulated=True)
+            slowest_path = max(walk.ready_at) if walk.ready_at else 0.0
+            outcome = kind(
+                results=root_results if batched else root_results[0],
                 local_seconds=local_seconds,
                 total_seconds=total,
                 aggregation_seconds=total - slowest_path,
-                merge_compute_seconds=merge_compute[0],
-                failed_leaves=sorted(set(range(len(self.nodes))) - delivered),
-                coverage=self._coverage(delivered),
-                retries_attempted=counters["retries"] + counters["agg_retries"],
-                hops_timed_out=counters["timeouts"] + counters["agg_timeouts"],
+                merge_compute_seconds=walk.merge_seconds,
+                failed_leaves=sorted(set(range(len(self.nodes))) - walk.delivered),
+                coverage=self._coverage(walk.delivered),
+                retries_attempted=walk.retries + walk.agg_retries,
+                hops_timed_out=walk.timeouts + walk.agg_timeouts,
                 quarantined_leaves=quarantined,
             )
         finally:
@@ -654,32 +588,19 @@ class DistributedTopKSystem:
                 total,
                 degraded=outcome.degraded,
                 coverage=outcome.coverage,
-                batch=len(events),
+                **walk.label("batch"),
                 simulated=True,
             )
-        self._record_batch_metrics(outcome, counters)
+        self._record_metrics(outcome, walk)
         self.simulated_clock += total
         return outcome
 
-    def _record_match_metrics(
-        self, outcome: DistributedMatchOutcome, counters: Dict[str, int]
-    ) -> None:
-        self._metrics.matches.inc()
-        self._record_overlay_metrics(outcome, counters)
-
-    def _record_batch_metrics(
-        self, outcome: DistributedBatchOutcome, counters: Dict[str, int]
-    ) -> None:
-        self._metrics.batch_events.inc(outcome.events)
-        self._record_overlay_metrics(outcome, counters)
-
-    def _record_overlay_metrics(
-        self,
-        outcome: Union[DistributedMatchOutcome, DistributedBatchOutcome],
-        counters: Dict[str, int],
-    ) -> None:
-        """The overlay-health metrics shared by single and batched matches."""
+    def _record_metrics(self, outcome: _OverlayOutcome[Any], walk: _Walk) -> None:
         metrics = self._metrics
+        if walk.batched:
+            metrics.batch_events.inc(len(walk.events))
+        else:
+            metrics.matches.inc()
         if outcome.degraded:
             metrics.degraded.inc()
             if self.logger is not None:
@@ -689,14 +610,14 @@ class DistributedTopKSystem:
                     failed_leaves=outcome.failed_leaves,
                     quarantined=outcome.quarantined_leaves,
                 )
-        if counters["retries"]:
-            metrics.retries.labels(stage="leaf").inc(counters["retries"])
-        if counters["agg_retries"]:
-            metrics.retries.labels(stage="aggregation").inc(counters["agg_retries"])
-        if counters["timeouts"]:
-            metrics.timeouts.labels(stage="leaf").inc(counters["timeouts"])
-        if counters["agg_timeouts"]:
-            metrics.timeouts.labels(stage="aggregation").inc(counters["agg_timeouts"])
+        if walk.retries:
+            metrics.retries.labels(stage="leaf").inc(walk.retries)
+        if walk.agg_retries:
+            metrics.retries.labels(stage="aggregation").inc(walk.agg_retries)
+        if walk.timeouts:
+            metrics.timeouts.labels(stage="leaf").inc(walk.timeouts)
+        if walk.agg_timeouts:
+            metrics.timeouts.labels(stage="aggregation").inc(walk.agg_timeouts)
         if outcome.failed_leaves:
             metrics.failed_leaves.inc(len(outcome.failed_leaves))
         metrics.match_seconds.observe(outcome.total_seconds)
@@ -732,37 +653,36 @@ class DistributedTopKSystem:
     def _attempt_leaf(
         self,
         node: MatcherNode,
-        event: Event,
-        k: int,
-        event_size: int,
-        rng,
-        view: Optional[MatchFaults],
+        walk: _Walk,
         policy: RetryPolicy,
-        now: float,
-        counters: Dict[str, int],
         single_attempt: bool,
-        record_health: bool,
-    ) -> "tuple[List[MatchResult], float, float, bool]":
-        """Try one leaf with retries; returns (results, elapsed, ready, ok).
+    ) -> "tuple[List[List[MatchResult]], float, float, bool]":
+        """Try one leaf with retries; returns (per-event results, elapsed, ready, ok).
 
-        ``ready`` is the simulated moment (relative to match start) the
-        leaf's answer — or its abandonment — is known to the overlay.
+        One dissemination hop ships every event of the walk (payload:
+        the summed event sizes), so each retry/timeout/backoff is paid
+        once per walk.  ``ready`` is the simulated moment (relative to
+        the walk's start) the leaf's answer — or its abandonment — is
+        known to the overlay; a failed leaf contributes empty results
+        for every event.
         """
         leaf = node.node_id
         tracer = self.tracer
+        view = walk.view
+        payload = sum(event.size for event in walk.events)
         clock = 0.0
         max_attempts = 1 if single_attempt else policy.max_attempts
         for attempt in range(1, max_attempts + 1):
             if attempt > 1:
                 backoff = policy.backoff(attempt - 1)
                 clock += backoff
-                counters["retries"] += 1
+                walk.retries += 1
                 if tracer is not None:
                     tracer.record(
                         "leaf.backoff", backoff,
                         leaf=leaf, attempt=attempt, simulated=True,
                     )
-            hop = self.latency.hop(event_size, rng)
+            hop = self.latency.hop(payload, walk.rng)
             failure = None
             if view is not None and view.hop_dropped(("dis", leaf), attempt):
                 failure = policy.timeout_seconds
@@ -772,19 +692,23 @@ class DistributedTopKSystem:
                 failure = hop + policy.timeout_seconds
             if failure is not None:
                 clock += failure
-                counters["timeouts"] += 1
+                walk.timeouts += 1
                 if tracer is not None:
                     tracer.record(
                         "leaf.attempt", failure,
                         leaf=leaf, attempt=attempt, outcome="timeout",
                         simulated=True,
                     )
-                if record_health:
-                    self.health.record_timeout(leaf, now + clock)
+                if walk.record_health:
+                    self.health.record_timeout(leaf, walk.now + clock)
                 if clock >= policy.deadline_seconds:
                     break
                 continue
-            results, elapsed = node.match_timed(event, k)
+            if walk.batched:
+                batches, elapsed = node.match_batch_timed(walk.events, walk.k)
+            else:
+                results, elapsed = node.match_timed(walk.events[0], walk.k)
+                batches = [results]
             factor = view.straggle_factor(leaf) if view is not None else 1.0
             ready = clock + hop + elapsed * factor
             # The deadline is modelled time; ``elapsed`` is measured
@@ -796,117 +720,34 @@ class DistributedTopKSystem:
             if ready - elapsed > policy.deadline_seconds:
                 # The (straggling) answer arrives too late to be waited
                 # for: the overlay gives up at the deadline.
-                counters["timeouts"] += 1
+                walk.timeouts += 1
                 if tracer is not None:
                     tracer.record(
                         "leaf.attempt", policy.deadline_seconds - clock,
                         leaf=leaf, attempt=attempt, outcome="abandoned",
                         straggle_factor=factor, simulated=True,
                     )
-                if record_health:
-                    self.health.record_timeout(leaf, now + policy.deadline_seconds)
-                return [], 0.0, policy.deadline_seconds, False
+                if walk.record_health:
+                    self.health.record_timeout(leaf, walk.now + policy.deadline_seconds)
+                return walk.nothing(), 0.0, policy.deadline_seconds, False
             if tracer is not None:
                 tracer.record("leaf.hop", hop, leaf=leaf, attempt=attempt, simulated=True)
                 tracer.record(
-                    "leaf.local_match", elapsed * factor,
-                    leaf=leaf, results=len(results), measured_seconds=elapsed,
-                    straggle_factor=factor,
-                )
-            if record_health:
-                self.health.record_success(leaf, now + ready)
-            return results, elapsed, ready, True
-        return [], 0.0, min(clock, policy.deadline_seconds), False
-
-    def _attempt_leaf_batch(
-        self,
-        node: MatcherNode,
-        events: Sequence[Event],
-        k: int,
-        payload: int,
-        rng,
-        view: Optional[MatchFaults],
-        policy: RetryPolicy,
-        now: float,
-        counters: Dict[str, int],
-        single_attempt: bool,
-        record_health: bool,
-    ) -> "tuple[List[List[MatchResult]], float, float, bool]":
-        """The batched twin of :meth:`_attempt_leaf`.
-
-        One dissemination hop ships the whole batch (``payload`` summed
-        event sizes), so each retry/timeout/backoff is paid once per
-        batch.  Returns ``(per-event results, elapsed, ready, ok)``; a
-        failed leaf contributes empty results for *every* event.
-        """
-        leaf = node.node_id
-        tracer = self.tracer
-        clock = 0.0
-        nothing: List[List[MatchResult]] = [[] for _ in events]
-        max_attempts = 1 if single_attempt else policy.max_attempts
-        for attempt in range(1, max_attempts + 1):
-            if attempt > 1:
-                backoff = policy.backoff(attempt - 1)
-                clock += backoff
-                counters["retries"] += 1
-                if tracer is not None:
-                    tracer.record(
-                        "leaf.backoff", backoff,
-                        leaf=leaf, attempt=attempt, simulated=True,
-                    )
-            hop = self.latency.hop(payload, rng)
-            failure = None
-            if view is not None and view.hop_dropped(("dis", leaf), attempt):
-                failure = policy.timeout_seconds
-            elif self._leaf_down(leaf, view):
-                failure = hop + policy.timeout_seconds
-            elif view is not None and view.flaky_failure(leaf, attempt):
-                failure = hop + policy.timeout_seconds
-            if failure is not None:
-                clock += failure
-                counters["timeouts"] += 1
-                if tracer is not None:
-                    tracer.record(
-                        "leaf.attempt", failure,
-                        leaf=leaf, attempt=attempt, outcome="timeout",
-                        simulated=True,
-                    )
-                if record_health:
-                    self.health.record_timeout(leaf, now + clock)
-                if clock >= policy.deadline_seconds:
-                    break
-                continue
-            batches, elapsed = node.match_batch_timed(events, k)
-            factor = view.straggle_factor(leaf) if view is not None else 1.0
-            ready = clock + hop + elapsed * factor
-            # Same deadline model as the single-event path: only overlay
-            # waiting counts, a slow-but-healthy leaf is never abandoned.
-            if ready - elapsed > policy.deadline_seconds:
-                counters["timeouts"] += 1
-                if tracer is not None:
-                    tracer.record(
-                        "leaf.attempt", policy.deadline_seconds - clock,
-                        leaf=leaf, attempt=attempt, outcome="abandoned",
-                        straggle_factor=factor, simulated=True,
-                    )
-                if record_health:
-                    self.health.record_timeout(leaf, now + policy.deadline_seconds)
-                return nothing, 0.0, policy.deadline_seconds, False
-            if tracer is not None:
-                tracer.record("leaf.hop", hop, leaf=leaf, attempt=attempt, simulated=True)
-                tracer.record(
-                    "leaf.local_match_batch", elapsed * factor,
-                    leaf=leaf, events=len(events),
+                    "leaf.local_match_batch" if walk.batched else "leaf.local_match",
+                    elapsed * factor,
+                    leaf=leaf, **walk.label("events"),
                     results=sum(len(results) for results in batches),
                     measured_seconds=elapsed, straggle_factor=factor,
                 )
-            if record_health:
-                self.health.record_success(leaf, now + ready)
+            if walk.record_health:
+                self.health.record_success(leaf, walk.now + ready)
             return batches, elapsed, ready, True
-        return nothing, 0.0, min(clock, policy.deadline_seconds), False
+        return walk.nothing(), 0.0, min(clock, policy.deadline_seconds), False
 
     def _coverage(self, delivered: Set[int]) -> float:
-        if not self._owner_of:
+        # Every sid has at least one owner, so a walk on which every leaf
+        # delivered reaches them all without scanning the ownership map.
+        if not self._owner_of or len(delivered) == len(self.nodes):
             return 1.0
         reachable = sum(
             1
@@ -916,134 +757,24 @@ class DistributedTopKSystem:
         return reachable / len(self._owner_of)
 
     def _aggregate(
-        self,
-        node: OverlayNode,
-        partials: List[List[MatchResult]],
-        ready_at: List[float],
-        k: int,
-        rng,
-        merge_compute: List[float],
-        delivered: Set[int],
-        view: Optional[MatchFaults],
-        policy: RetryPolicy,
-        counters: Dict[str, int],
-    ) -> "tuple[List[MatchResult], float]":
-        """Returns (results, completion time) for an overlay subtree."""
-        if node.is_leaf:
-            assert node.leaf_index is not None
-            return partials[node.leaf_index], ready_at[node.leaf_index]
-        assert node.children
-        tracer = self.tracer
-        leaves = node.leaf_indices()
-        agg_span = (
-            tracer.begin("aggregate", leaves=[leaves[0], leaves[-1]])
-            if tracer is not None
-            else None
-        )
-        try:
-            child_results: List[List[MatchResult]] = []
-            arrival = 0.0
-            for child in node.children:
-                results, done_at = self._aggregate(
-                    child, partials, ready_at, k, rng, merge_compute,
-                    delivered, view, policy, counters,
-                )
-                span = child.leaf_indices()
-                contributing = delivered.intersection(span)
-                if contributing:
-                    # Child -> this node: one hop carrying its partial set,
-                    # retried with backoff when the wire drops it.
-                    edge = ("agg", span[0], span[-1])
-                    for attempt in range(1, policy.max_attempts + 1):
-                        if view is not None and view.hop_dropped(edge, attempt):
-                            done_at += policy.timeout_seconds
-                            counters["agg_timeouts"] += 1
-                            if tracer is not None:
-                                tracer.record(
-                                    "aggregation.hop", policy.timeout_seconds,
-                                    leaves=[span[0], span[-1]], attempt=attempt,
-                                    outcome="dropped", simulated=True,
-                                )
-                            if attempt >= policy.max_attempts:
-                                # Retries exhausted: the whole subtree's
-                                # contribution is lost for this match.
-                                delivered.difference_update(contributing)
-                                results = []
-                                break
-                            counters["agg_retries"] += 1
-                            backoff = policy.backoff(attempt)
-                            done_at += backoff
-                            if tracer is not None:
-                                tracer.record(
-                                    "aggregation.backoff", backoff,
-                                    leaves=[span[0], span[-1]], attempt=attempt,
-                                    simulated=True,
-                                )
-                            continue
-                        hop = self.latency.hop(len(results), rng)
-                        done_at += hop
-                        if tracer is not None:
-                            tracer.record(
-                                "aggregation.hop", hop,
-                                leaves=[span[0], span[-1]], attempt=attempt,
-                                outcome="delivered", results=len(results),
-                                simulated=True,
-                            )
-                        break
-                # A non-contributing child still delays its parent by the
-                # time spent discovering it had nothing to send (done_at).
-                child_results.append(results)
-                if done_at > arrival:
-                    arrival = done_at
-            started = time.perf_counter()
-            merged = merge_topk(child_results, k)
-            merge_seconds = time.perf_counter() - started
-            merge_compute[0] += merge_seconds
-            if tracer is not None:
-                tracer.record(
-                    "merge", merge_seconds,
-                    inputs=len(child_results), results=len(merged),
-                )
-        finally:
-            if tracer is not None:
-                tracer.end()
-        if agg_span is not None:
-            agg_span.annotate(completed_at=arrival + merge_seconds, simulated=True)
-            agg_span.set_duration(arrival + merge_seconds)
-        # Aggregation "has to receive all results to complete" — it starts
-        # at the slowest child's arrival.
-        return merged, arrival + merge_seconds
-
-    def _aggregate_batch(
-        self,
-        node: OverlayNode,
-        partials: List[List[List[MatchResult]]],
-        ready_at: List[float],
-        batch_size: int,
-        k: int,
-        rng,
-        merge_compute: List[float],
-        delivered: Set[int],
-        view: Optional[MatchFaults],
-        policy: RetryPolicy,
-        counters: Dict[str, int],
+        self, node: OverlayNode, walk: _Walk, policy: RetryPolicy
     ) -> "tuple[List[List[MatchResult]], float]":
-        """The batched twin of :meth:`_aggregate`.
+        """Returns (per-event results, completion time) for an overlay subtree.
 
-        Each child edge carries *all* of the batch's per-event partial
-        sets in one hop; a dropped edge therefore loses the subtree's
-        contribution to every event at once.  Returns ``(per-event
-        results, completion time)`` for the overlay subtree.
+        Each child edge carries every event's partial set in one hop; a
+        dropped edge therefore loses the subtree's contribution to every
+        event of the walk at once.
         """
         if node.is_leaf:
             assert node.leaf_index is not None
-            return partials[node.leaf_index], ready_at[node.leaf_index]
+            return walk.partials[node.leaf_index], walk.ready_at[node.leaf_index]
         assert node.children
         tracer = self.tracer
+        view = walk.view
         leaves = node.leaf_indices()
         agg_span = (
             tracer.begin(
-                "aggregate", leaves=[leaves[0], leaves[-1]], batch=batch_size
+                "aggregate", leaves=[leaves[0], leaves[-1]], **walk.label("batch")
             )
             if tracer is not None
             else None
@@ -1052,18 +783,17 @@ class DistributedTopKSystem:
             child_results: List[List[List[MatchResult]]] = []
             arrival = 0.0
             for child in node.children:
-                batches, done_at = self._aggregate_batch(
-                    child, partials, ready_at, batch_size, k, rng,
-                    merge_compute, delivered, view, policy, counters,
-                )
+                batches, done_at = self._aggregate(child, walk, policy)
                 span = child.leaf_indices()
-                contributing = delivered.intersection(span)
+                contributing = walk.delivered.intersection(span)
                 if contributing:
+                    # Child -> this node: one hop carrying its partial sets,
+                    # retried with backoff when the wire drops it.
                     edge = ("agg", span[0], span[-1])
                     for attempt in range(1, policy.max_attempts + 1):
                         if view is not None and view.hop_dropped(edge, attempt):
                             done_at += policy.timeout_seconds
-                            counters["agg_timeouts"] += 1
+                            walk.agg_timeouts += 1
                             if tracer is not None:
                                 tracer.record(
                                     "aggregation.hop", policy.timeout_seconds,
@@ -1071,10 +801,12 @@ class DistributedTopKSystem:
                                     outcome="dropped", simulated=True,
                                 )
                             if attempt >= policy.max_attempts:
-                                delivered.difference_update(contributing)
-                                batches = [[] for _ in range(batch_size)]
+                                # Retries exhausted: the whole subtree's
+                                # contribution is lost for this walk.
+                                walk.delivered.difference_update(contributing)
+                                batches = walk.nothing()
                                 break
-                            counters["agg_retries"] += 1
+                            walk.agg_retries += 1
                             backoff = policy.backoff(attempt)
                             done_at += backoff
                             if tracer is not None:
@@ -1085,30 +817,32 @@ class DistributedTopKSystem:
                                 )
                             continue
                         carried = sum(len(results) for results in batches)
-                        hop = self.latency.hop(carried, rng)
+                        hop = self.latency.hop(carried, walk.rng)
                         done_at += hop
                         if tracer is not None:
                             tracer.record(
                                 "aggregation.hop", hop,
                                 leaves=[span[0], span[-1]], attempt=attempt,
                                 outcome="delivered", results=carried,
-                                events=batch_size, simulated=True,
+                                **walk.label("events"), simulated=True,
                             )
                         break
+                # A non-contributing child still delays its parent by the
+                # time spent discovering it had nothing to send (done_at).
                 child_results.append(batches)
                 if done_at > arrival:
                     arrival = done_at
             started = time.perf_counter()
             merged = [
-                merge_topk([child[index] for child in child_results], k)
-                for index in range(batch_size)
+                merge_topk([child[index] for child in child_results], walk.k)
+                for index in range(len(walk.events))
             ]
             merge_seconds = time.perf_counter() - started
-            merge_compute[0] += merge_seconds
+            walk.merge_seconds += merge_seconds
             if tracer is not None:
                 tracer.record(
                     "merge", merge_seconds,
-                    inputs=len(child_results), events=batch_size,
+                    inputs=len(child_results), **walk.label("events"),
                     results=sum(len(results) for results in merged),
                 )
         finally:
@@ -1117,6 +851,8 @@ class DistributedTopKSystem:
         if agg_span is not None:
             agg_span.annotate(completed_at=arrival + merge_seconds, simulated=True)
             agg_span.set_duration(arrival + merge_seconds)
+        # Aggregation "has to receive all results to complete" — it starts
+        # at the slowest child's arrival.
         return merged, arrival + merge_seconds
 
     # ------------------------------------------------------------------
@@ -1133,6 +869,8 @@ class DistributedTopKSystem:
 
         Until :meth:`recover_leaf` is called, matches proceed without the
         leaf (no timeout cost — the crash is known, not suspected).
+        Writes placed on the leaf meanwhile are held in its emptied
+        matcher and kept by the recovery.
         """
         self._check_leaf(leaf_id)
         self.nodes[leaf_id].matcher = self._matcher_factory()
@@ -1146,31 +884,37 @@ class DistributedTopKSystem:
     def recover_leaf(self, leaf_id: int, snapshot_path: Optional[str] = None) -> RecoveryReport:
         """Rebuild a failed leaf's partition and re-admit it.
 
-        The partition is reassembled from two sources, in order:
+        The partition is reassembled from three sources, newest first:
 
-        1. ``snapshot_path`` — a :func:`repro.core.snapshot.save_matcher`
+        1. writes the cluster placed on the leaf while it was down (after
+           :meth:`crash_leaf`) — each is the sid's latest ADD;
+        2. ``snapshot_path`` — a :func:`repro.core.snapshot.save_matcher`
            file (typically written by :meth:`save_leaf_snapshot` before
-           the crash); stale entries (sids cancelled or re-placed while
-           the leaf was down) are dropped;
-        2. surviving replicas — any sid the cluster's ownership map
-           assigns to this leaf that the snapshot did not contain is
-           copied from another live owner.
+           the crash); entries the cluster cancelled, re-placed or
+           re-added while the leaf was down are dropped;
+        3. surviving replicas — any sid the cluster's ownership map
+           assigns to this leaf that neither source contained is copied
+           from another live owner.
 
-        Sids recoverable from neither source are *lost*: they are
+        Sids recoverable from none of these are *lost*: they are
         removed from the ownership map (and the report lists them) so
         coverage accounting stays truthful.
         """
         self._check_leaf(leaf_id)
+        accepted = self.nodes[leaf_id].matcher.subscriptions if leaf_id in self._down else {}
         fresh = self._matcher_factory()
         snapshot_count = 0
         if snapshot_path is not None:
             snapshot_count = restore_into(fresh, snapshot_path)
-        # Drop snapshot entries the cluster no longer assigns here.
+        # Drop snapshot entries the cluster no longer assigns here or
+        # re-added while the leaf was down.
         for sid in list(fresh.subscriptions):
             owners = self._owner_of.get(sid)
-            if owners is None or leaf_id not in owners:
+            if owners is None or leaf_id not in owners or sid in accepted:
                 fresh.cancel_subscription(sid)
                 snapshot_count -= 1
+        for subscription in accepted.values():
+            fresh.add_subscription(subscription)
         copied = 0
         lost: List[Any] = []
         for sid, owners in list(self._owner_of.items()):
@@ -1195,6 +939,7 @@ class DistributedTopKSystem:
                 "leaf.recovered",
                 leaf=leaf_id,
                 now=self.simulated_clock,
+                accepted_while_down=len(accepted),
                 restored_from_snapshot=snapshot_count,
                 copied_from_replicas=copied,
                 lost=len(lost),
@@ -1204,6 +949,7 @@ class DistributedTopKSystem:
             restored_from_snapshot=snapshot_count,
             copied_from_replicas=copied,
             lost=lost,
+            accepted_while_down=len(accepted),
         )
 
     def reassign_orphans(self, leaf_id: int) -> "tuple[int, List[Any]]":

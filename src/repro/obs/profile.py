@@ -75,11 +75,9 @@ PHASE_OF_FRAME: Dict[Tuple[str, str], str] = {
     ("stats", "match_batch"): "match_batch",
     # Distributed overlay (repro/distributed/).
     ("cluster", "_attempt_leaf"): "leaf.dispatch",
-    ("cluster", "_attempt_leaf_batch"): "leaf.dispatch",
     ("cluster", "_aggregate"): "aggregate",
-    ("cluster", "_aggregate_batch"): "aggregate",
     ("merge", "merge_topk"): "merge",
-    ("latency", "hop"): "leaf.hop",
+    ("network", "hop"): "leaf.hop",
 }
 
 #: A sampled stack: ``(filename, function)`` pairs, innermost first.

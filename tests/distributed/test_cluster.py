@@ -246,3 +246,62 @@ class TestBatchedDistributedMatch:
         outcome = system.match_batch([], 5)
         assert outcome.results == []
         assert outcome.events == 0
+
+
+#: System-level fault plans for the single/batch parity grid: healthy, a
+#: crashed leaf, a flaky leaf under hop drops, and a leaf that crashes
+#: mid-stream and restarts while another is flaky.
+PARITY_PLANS = {
+    "healthy": None,
+    "crashed": dict(crashed=frozenset({1}), seed=3),
+    "flaky-drops": dict(flaky={2: 0.5}, hop_drop_rate=0.2, seed=5),
+    "crash-recover": dict(
+        crash_at_match={3: 4}, recover_at_match={3: 9}, flaky={0: 0.4}, seed=9
+    ),
+}
+
+
+class TestSingleBatchParity:
+    """``match(e)`` and ``match_batch([e])`` walk the overlay identically."""
+
+    @pytest.fixture(scope="class")
+    def micro(self):
+        from repro.workloads.generator import MicroWorkload, MicroWorkloadConfig
+
+        workload = MicroWorkload(MicroWorkloadConfig(n=600, seed=11))
+        return workload.subscriptions(), workload.events(16)
+
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    @pytest.mark.parametrize("plan", sorted(PARITY_PLANS))
+    def test_match_equals_batch_of_one(self, micro, plan, replication):
+        from repro.distributed.faults import FaultPlan
+
+        subs, events = micro
+
+        def build():
+            settings = PARITY_PLANS[plan]
+            system = DistributedTopKSystem(
+                lambda: FXTMMatcher(prorate=True),
+                node_count=6,
+                replication_factor=replication,
+                faults=FaultPlan(**settings) if settings is not None else None,
+            )
+            system.add_subscriptions(subs)
+            return system
+
+        single, batched = build(), build()
+        # total_seconds and straggler effects fold in measured compute, so
+        # only the deterministic fields are compared.
+        fields = (
+            "failed_leaves",
+            "coverage",
+            "retries_attempted",
+            "hops_timed_out",
+            "quarantined_leaves",
+        )
+        for event in events:
+            one = single.match(event, 10)
+            many = batched.match_batch([event], 10)
+            assert many.results == [one.results]
+            for name in fields:
+                assert getattr(many, name) == getattr(one, name), name

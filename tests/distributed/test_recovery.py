@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.matcher import FXTMMatcher
+from repro.core.parser import parse_event, parse_subscription
 from repro.distributed.cluster import DistributedTopKSystem
 from repro.distributed.health import HealthTracker
 from repro.errors import RecoveryError
@@ -94,6 +95,34 @@ class TestSnapshotRecovery:
         system.crash_leaf(0)
         system.recover_leaf(0, snapshot_path=path)
         assert cancelled not in system.nodes[0].matcher
+
+    def test_readd_while_down_beats_snapshot(self, tmp_path):
+        """A sid cancelled and re-added while its leaf was down is served
+        with the re-added predicate, not the snapshot's."""
+        system = DistributedTopKSystem(lambda: FXTMMatcher(prorate=True), node_count=1)
+        system.add_subscription(parse_subscription("s1", "price in [0, 10]"))
+        path = tmp_path / "leaf0.snapshot"
+        system.save_leaf_snapshot(0, path)
+        system.crash_leaf(0)
+        system.cancel_subscription("s1")
+        system.add_subscription(parse_subscription("s1", "price in [100, 110]"))
+        report = system.recover_leaf(0, snapshot_path=path)
+        assert (report.accepted_while_down, report.restored_from_snapshot) == (1, 0)
+        assert system.match(parse_event("price: 5"), 10).results == []
+        assert [r.sid for r in system.match(parse_event("price: 105"), 10).results] == ["s1"]
+
+    def test_add_while_down_is_not_lost(self):
+        """A write the cluster accepted for a down leaf survives recovery."""
+        system = DistributedTopKSystem(lambda: FXTMMatcher(prorate=True), node_count=2)
+        system.add_subscription(parse_subscription("a", "price in [50, 60]"))
+        system.crash_leaf(1)
+        # Round-robin placement puts the second subscription on leaf 1.
+        assert system.add_subscription(parse_subscription("b", "price in [0, 10]")) == 1
+        report = system.recover_leaf(1)
+        assert report.lost == []
+        assert report.accepted_while_down == report.recovered == 1
+        assert system.owners_of("b") == [1]
+        assert [r.sid for r in system.match(parse_event("price: 5"), 10).results] == ["b"]
 
     def test_unrecoverable_sids_reported_lost(self, workload):
         subs, _events = workload

@@ -1,8 +1,13 @@
 """The sampling profiler: deterministic attribution, lifecycle, export."""
 
+import ast
+import importlib
+import pkgutil
 import threading
 
 import pytest
+
+import repro
 
 from repro.errors import ObservabilityError
 from repro.obs.profile import PHASE_OF_FRAME, SamplingProfiler
@@ -194,3 +199,33 @@ class TestMatchRootAttribution:
         stack = [("/x/repro/core/matcher.py", "_match_topk")]
         profiler.sample_once(stacks=[stack])
         assert profiler.phase_samples == {"fxtm.match": 1}
+
+
+def _defined_functions():
+    """``module basename -> names`` of every function and method in repro."""
+    defined = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        with open(module.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        names = defined.setdefault(info.name.rsplit(".", 1)[-1], set())
+        for node in tree.body:
+            bodies = node.body if isinstance(node, ast.ClassDef) else [node]
+            names.update(
+                child.name
+                for child in bodies
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return defined
+
+
+class TestPhaseTable:
+    def test_every_key_names_a_defined_function(self):
+        """A renamed or deleted function leaves no stale key behind."""
+        defined = _defined_functions()
+        stale = [
+            key
+            for key in PHASE_OF_FRAME
+            if key[1] not in defined.get(key[0], set())
+        ]
+        assert stale == []
