@@ -221,7 +221,11 @@ class FXTMMatcher(TopKMatcher):
         The benchmark harness calls this after loading subscriptions so
         the one-time flat-array build is charged to load time, not to
         the first match touching each attribute — the same static-build
-        methodology the BE* baseline uses.
+        methodology the BE* baseline uses.  Once built, each ADD/CANCEL
+        patches the views of the trees it writes, so later matches find
+        them current; only a burst of writes with no match in between
+        leaves a view for the next match to rebuild (see
+        :mod:`repro.structures.interval_tree`).
         """
         # Duck-typed: ablation variants swap in tree stand-ins that have
         # no flattened view to warm.

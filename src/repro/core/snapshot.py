@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, Optional, TextIO, Union
+from typing import Any, Callable, Dict, List, Optional, Set, TextIO, Union
 
 from repro.core.attributes import AttributeKind, Schema
 from repro.core.codec import CodecError, subscription_from_dict, subscription_to_dict
 from repro.core.interfaces import TopKMatcher
+from repro.core.subscriptions import Subscription
 
 __all__ = ["SnapshotError", "save_matcher", "load_matcher", "restore_into"]
 
@@ -73,34 +74,57 @@ def save_matcher(matcher: TopKMatcher, path: Union[str, os.PathLike]) -> int:
 
 
 def restore_into(matcher: TopKMatcher, path: Union[str, os.PathLike]) -> int:
-    """Load a snapshot's subscriptions into an existing matcher.
+    """Load a snapshot's subscriptions into an existing matcher, all or nothing.
 
-    Returns the number of subscriptions added.  Raises
-    :class:`SnapshotError` on malformed files; the matcher may have been
-    partially loaded when that happens, so restore into a fresh instance.
+    Returns the number of subscriptions added.  Every line is parsed and
+    validated before the matcher is touched: a malformed line, or a sid
+    that repeats within the file or is already in ``matcher``, raises
+    :class:`SnapshotError` and changes nothing.  Should an add still fail
+    (a header kind that conflicts with the matcher's schema, say), the
+    subscriptions already added are cancelled and the schema's kinds
+    restored, as :meth:`~repro.core.matcher.FXTMMatcher.bulk_load` does,
+    and the error propagates.
     """
+    subscriptions: List[Subscription] = []
+    seen: Set[Any] = set()
     with open(path, "r", encoding="utf-8") as handle:
         header = _read_header(handle, path)
-        for attribute, kind_name in header.get("schema", {}).items():
-            try:
-                kind = AttributeKind(kind_name)
-            except ValueError:
-                raise SnapshotError(f"unknown attribute kind {kind_name!r}") from None
-            matcher.schema.declare(attribute, kind)
-        count = 0
+        declared = _schema_from_dict(header.get("schema", {}))
         for line_number, line in enumerate(handle, start=2):
             stripped = line.strip()
             if not stripped:
                 continue
             try:
-                payload = json.loads(stripped)
+                subscription = subscription_from_dict(json.loads(stripped))
             except json.JSONDecodeError as error:
                 raise SnapshotError(
                     f"{path}:{line_number}: invalid JSON: {error}"
                 ) from None
-            matcher.add_subscription(subscription_from_dict(payload))
-            count += 1
-    return count
+            except CodecError as error:
+                raise SnapshotError(f"{path}:{line_number}: {error}") from None
+            sid = subscription.sid
+            if sid in seen:
+                raise SnapshotError(f"{path}:{line_number}: duplicate sid {sid!r}")
+            if sid in matcher:
+                raise SnapshotError(
+                    f"{path}:{line_number}: sid {sid!r} is already in the matcher"
+                )
+            seen.add(sid)
+            subscriptions.append(subscription)
+    kinds_before = matcher.schema.snapshot_kinds()
+    added: List[Any] = []
+    try:
+        for attribute, kind in declared.items():
+            matcher.schema.declare(attribute, kind)
+        for subscription in subscriptions:
+            matcher.add_subscription(subscription)
+            added.append(subscription.sid)
+    except Exception:
+        for sid in reversed(added):
+            matcher.cancel_subscription(sid)
+        matcher.schema.restore_kinds(kinds_before)
+        raise
+    return len(added)
 
 
 def load_matcher(

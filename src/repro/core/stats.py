@@ -203,6 +203,10 @@ class MatcherStats:
         ).labels(**labels)
         self.match_seconds = RunningStats()
         self.results_returned = RunningStats()
+        #: Times each live subscription has been served.  A cancel drops
+        #: its sid (:meth:`forget_sid`), so under churn this holds at most
+        #: one key per live subscription instead of one per sid ever
+        #: served.
         self.serves_by_sid: Dict[Any, int] = {}
 
     # -- recorders --------------------------------------------------------
@@ -211,6 +215,10 @@ class MatcherStats:
 
     def record_cancel(self) -> None:
         self._ops.labels(op="cancel", **self._labels).inc()
+
+    def forget_sid(self, sid: Any) -> None:
+        """Drop a cancelled subscription's serve count, if it has one."""
+        self.serves_by_sid.pop(sid, None)
 
     def record_match(self, elapsed_seconds: float, results: List[MatchResult]) -> None:
         self._matches.inc()
@@ -304,6 +312,8 @@ class MatcherStats:
             "match_ms_p95": latency.percentile(95) * 1e3,
             "match_ms_p99": latency.percentile(99) * 1e3,
             "results_mean": self.results_returned.mean,
+            # Live subscriptions served at least once (cancelled sids
+            # are forgotten), not every sid ever served.
             "distinct_sids_served": len(self.serves_by_sid),
         }
 
@@ -359,9 +369,11 @@ class InstrumentedMatcher:
     def cancel_subscription(self, sid: Any) -> Subscription:
         subscription = self.inner.cancel_subscription(sid)
         self.stats.record_cancel()
+        self.stats.forget_sid(sid)
         return subscription
 
     def update_subscription(self, subscription: Subscription) -> Subscription:
+        # The sid stays live, so its serve count is kept.
         previous = self.inner.update_subscription(subscription)
         self.stats.record_cancel()
         self.stats.record_add()

@@ -119,6 +119,79 @@ class TestValidation:
         with pytest.raises(SnapshotError):
             restore_into(fresh, path)
 
+    @staticmethod
+    def _state(matcher):
+        return dict(matcher.subscriptions), matcher.schema.snapshot_kinds()
+
+    def test_bad_last_line_leaves_matcher_unchanged(self, tmp_path, populated):
+        path = tmp_path / "snap.jsonl"
+        save_matcher(populated, path)
+        with open(path, "a") as handle:
+            handle.write(json.dumps({"v": 1, "sid": "broken", "constraints": []}) + "\n")
+        target = FXTMMatcher()
+        target.add_subscription(Subscription("mine", [Constraint("age", Interval(18, 30), 1.0)]))
+        before = self._state(target)
+        with pytest.raises(SnapshotError):
+            restore_into(target, path)
+        assert self._state(target) == before
+
+    def test_sid_already_present_leaves_matcher_unchanged(self, tmp_path, populated):
+        path = tmp_path / "snap.jsonl"
+        save_matcher(populated, path)
+        target = FXTMMatcher()
+        clash = populated.get_subscription("budgeted")
+        target.add_subscription(clash)
+        before = self._state(target)
+        with pytest.raises(SnapshotError):
+            restore_into(target, path)
+        assert self._state(target) == before
+        assert target.get_subscription("budgeted") is clash
+
+    def test_duplicate_sid_within_file_is_rejected(self, tmp_path, populated):
+        path = tmp_path / "snap.jsonl"
+        save_matcher(populated, path)
+        with open(path) as handle:
+            last = handle.readlines()[-1]
+        with open(path, "a") as handle:
+            handle.write(last)
+        target = FXTMMatcher()
+        with pytest.raises(SnapshotError):
+            restore_into(target, path)
+        assert len(target) == 0
+        assert target.schema.snapshot_kinds() == {}
+
+    def test_conflicting_header_kind_leaves_matcher_unchanged(self, tmp_path, populated):
+        from repro.errors import SchemaError
+
+        path = tmp_path / "snap.jsonl"
+        save_matcher(populated, path)  # declares votes as range_discrete
+        target = FXTMMatcher(schema=Schema({"votes": AttributeKind.RANGE_CONTINUOUS}))
+        target.add_subscription(Subscription("mine", [Constraint("age", Interval(18, 30), 1.0)]))
+        before = self._state(target)
+        with pytest.raises(SchemaError):
+            restore_into(target, path)
+        assert self._state(target) == before
+
+    def test_failed_add_rolls_back_subscriptions_and_schema(self, tmp_path, populated):
+        path = tmp_path / "snap.jsonl"
+        save_matcher(populated, path)
+        target = FXTMMatcher()
+        before = self._state(target)
+        calls = []
+        add = target.add_subscription
+
+        def failing_add(subscription):
+            if len(calls) == 40:
+                raise RuntimeError("injected add failure")
+            calls.append(subscription.sid)
+            add(subscription)
+
+        target.add_subscription = failing_add
+        with pytest.raises(RuntimeError):
+            restore_into(target, path)
+        assert len(calls) == 40
+        assert self._state(target) == before
+
     def test_unknown_algorithm_needs_factory(self, tmp_path):
         path = tmp_path / "custom.jsonl"
         path.write_text(

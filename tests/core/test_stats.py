@@ -179,6 +179,29 @@ class TestInstrumentedMatcher:
         top = wrapped.stats.top_served(limit=1)
         assert top[0][1] == 3
 
+    def test_serves_by_sid_stays_bounded_by_live_sids_under_churn(self):
+        """A cancelled sid's serve count is dropped, so churning 1,000
+        sids through the matcher leaves no key for a sid no longer live."""
+        wrapped = self.build()
+        for index in range(1000):
+            sid = f"churn-{index}"
+            wrapped.add_subscription(
+                Subscription(sid, [Constraint("a", Interval(0, 10), 5.0)])
+            )
+            assert sid in {result.sid for result in wrapped.match(Event({"a": 5}), 1)}
+            wrapped.cancel_subscription(sid)
+        assert len(wrapped.stats.serves_by_sid) <= len(wrapped)
+        assert set(wrapped.stats.serves_by_sid) <= {"s1", "s2"}
+        assert wrapped.stats.snapshot()["distinct_sids_served"] <= len(wrapped)
+
+    def test_update_keeps_the_live_sids_serve_count(self):
+        wrapped = self.build()
+        wrapped.match(Event({"a": 5}), 2)
+        wrapped.update_subscription(
+            Subscription("s1", [Constraint("a", Interval(0, 20), 2.0)])
+        )
+        assert wrapped.stats.serves_by_sid == {"s1": 1, "s2": 1}
+
     def test_snapshot_is_json_ready(self):
         import json
 

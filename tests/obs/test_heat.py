@@ -344,3 +344,48 @@ class TestRegionMirror:
         monitor = HeatMonitor()
         monitor.record_region("price", 10.0, 20.0)
         assert monitor.snapshot().get("price").regions.total == 1
+
+
+class TestHeatUnderChurn:
+    """Writes between matches keep fx-tm's heat equal to fx-tm-array's.
+
+    fx-tm patches its flat stab view on each write instead of rebuilding
+    it; the skip-table counts heat reads off it must stay those of a
+    fresh build, which ``fx-tm-array`` (python backend) reports too.  The
+    trees grow past several 64-entry skip blocks, so a patched block
+    maximum that drifted from a rebuild would change ``blocks_skipped``.
+    """
+
+    @staticmethod
+    def churn_profile(matcher):
+        import random
+
+        rng = random.Random(0xC4A2)
+        live = []
+        for step in range(1000):
+            roll = rng.random()
+            if roll < 0.55 or len(live) < 8:
+                low = rng.randint(0, 900)
+                sid = f"s{step}"
+                matcher.add_subscription(
+                    Subscription(
+                        sid,
+                        [
+                            Constraint("price", Interval(low, low + rng.randint(0, 80)), 1.0),
+                            Constraint("age", Interval(rng.randint(18, 40), rng.randint(40, 70)), 0.5),
+                        ],
+                    )
+                )
+                live.append(sid)
+            elif roll < 0.7:
+                matcher.cancel_subscription(live.pop(rng.randrange(len(live))))
+            else:
+                matcher.match(Event({"price": rng.randint(0, 1000), "age": rng.randint(10, 80)}), k=5)
+        return matcher.heat.snapshot().to_json()
+
+    def test_interleaved_writes_keep_engines_heat_equal(self):
+        reference = self.churn_profile(FXTMMatcher(heat=HeatMonitor()))
+        array = self.churn_profile(ArrayTopKMatcher(backend="python", heat=HeatMonitor()))
+        price = next(row for row in reference["attributes"] if row["attribute"] == "price")
+        assert price["blocks_skipped"] > 0
+        assert reference == array

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidIntervalError
-from repro.structures.interval_tree import IntervalTree
+from repro.structures.interval_tree import _FLAT_BLOCK, _PATCH_LIMIT, IntervalTree
 
 
 def brute_force_stab(entries, qlo, qhi):
@@ -295,6 +295,123 @@ class TestFlattenedStabView:
         assert sorted(tree.stab(0, 1200)) == brute_force_stab(shadow, 0, 1200)
 
 
+def assert_patched_view_equals_rebuild(tree):
+    """The published view is current and equals a fresh rebuild: the
+    same nodes (the tree's own, not detached ones) in key order and an
+    ``==`` skip table."""
+    patched = tree._flat
+    assert patched is not None and patched[0] == tree._epoch
+    rebuilt = tree._build_flat()
+    tree._flat = patched  # later writes keep patching the patched view
+    assert [node.key() for node in patched[1]] == [node.key() for node in rebuilt[1]]
+    assert all(mine is theirs for mine, theirs in zip(patched[1], rebuilt[1]))
+    assert patched[2] == rebuilt[2]
+
+
+class TestFlatViewPatching:
+    """Writes patch a current flat view instead of leaving it stale.
+
+    Each patch copies the node list with the entry inserted or removed
+    and recomputes the 64-entry skip table from the touched block on;
+    the result must be indistinguishable from a rebuild, or stab results
+    and the heat monitor's scan counts would drift under churn.
+    """
+
+    @pytest.mark.parametrize("start", [0, 1, 63, 64, 65, 129])
+    def test_patched_view_equals_rebuild_after_every_write(self, start):
+        rng = random.Random(0x9A7C + start)
+        tree = IntervalTree()
+        live = {}
+
+        def fresh(sid):
+            # Few distinct lows: many entries share a low and differ
+            # only in high and sid.
+            low = rng.randint(0, 20)
+            return (low, low + rng.randint(0, 15), sid, rng.uniform(-1, 1))
+
+        for sid in range(start):
+            entry = fresh(sid)
+            tree.insert(*entry)
+            live[entry[:3]] = entry
+        next_sid = start
+        deletes = {"two-child": 0, "block-first": 0, "block-last": 0}
+        for _ in range(400):
+            # A read before each write re-arms patching.
+            qlo = rng.randint(0, 40)
+            qhi = qlo + rng.randint(0, 10)
+            assert tree.stab(qlo, qhi) == brute_force_stab(live.values(), qlo, qhi)
+            had_view = tree._flat is not None
+            roll = rng.random()
+            if not live or roll < 0.5:
+                entry = fresh(next_sid)
+                next_sid += 1
+                tree.insert(*entry)
+                live[entry[:3]] = entry
+            else:
+                ordered = tree._flat[1]
+                root = tree._root
+                block = rng.randrange(0, len(ordered), _FLAT_BLOCK)
+                if roll < 0.6 and root.left is not None and root.right is not None:
+                    key, kind = root.key(), "two-child"
+                elif roll < 0.7:
+                    key, kind = ordered[block].key(), "block-first"
+                elif roll < 0.8:
+                    last = min(block + _FLAT_BLOCK, len(ordered)) - 1
+                    key, kind = ordered[last].key(), "block-last"
+                else:
+                    key, kind = rng.choice(list(live)), None
+                if kind is not None:
+                    deletes[kind] += 1
+                tree.delete(*key)
+                del live[key]
+            # Only the first insert into a never-read empty tree has no
+            # view to patch.
+            assert had_view or len(tree) == 1
+            if had_view:
+                assert_patched_view_equals_rebuild(tree)
+        tree.check_invariants()
+        assert all(deletes.values()), deletes
+
+    def test_write_burst_past_the_limit_leaves_view_stale_until_next_stab(self):
+        rng = random.Random(0xB0257)
+        entries = []
+        for sid in range(200):
+            low = rng.randint(0, 500)
+            entries.append((low, low + rng.randint(0, 60), sid, 1.0))
+        tree = IntervalTree.from_entries(entries)
+        tree.stab(0, 0)
+        for sid in range(200, 200 + _PATCH_LIMIT):
+            low = rng.randint(0, 500)
+            entries.append((low, low + 30, sid, 1.0))
+            tree.insert(*entries[-1])
+            assert tree._flat[0] == tree._epoch  # patched
+        burst = tree._flat
+        victim = entries.pop(rng.randrange(len(entries)))
+        tree.delete(*victim[:3])
+        entries.append((250, 260, "late", 1.0))
+        tree.insert(*entries[-1])
+        # Past the limit the view is left as it was: stale, not patched.
+        assert tree._flat is burst and burst[0] != tree._epoch
+        assert tree.stab(200, 300) == brute_force_stab(entries, 200, 300)
+        assert_patched_view_equals_rebuild(tree)  # the stab rebuilt it
+        # The read re-armed patching for the next write.
+        tree.delete(250, 260, "late")
+        entries.pop()
+        assert_patched_view_equals_rebuild(tree)
+        assert tree.stab(0, 600) == brute_force_stab(entries, 0, 600)
+
+    def test_retained_view_is_never_changed_by_a_patch(self):
+        tree = IntervalTree.from_entries([(i, i + 3, i, 1.0) for i in range(130)])
+        view = tree._flat
+        keys = [node.key() for node in view[1]]
+        block_max = list(view[2])
+        tree.insert(64, 70, "new", 1.0)
+        tree.delete(0, 3, 0)
+        assert tree._flat is not view
+        assert [node.key() for node in view[1]] == keys
+        assert view[2] == block_max
+
+
 class TestFlatViewPublication:
     """The lazy flat-stab view must be published atomically.
 
@@ -375,4 +492,54 @@ class TestFlatViewPublication:
             barrier.wait()  # wait for all stabs before mutating again
         for thread in threads:
             thread.join()
+        assert not errors, errors[:3]
+
+    def test_concurrent_first_stabs_race_the_rebuild_after_a_burst(self):
+        """Each round writes past the patch limit, so the round's view is
+        stale and all readers race its lazy rebuild."""
+        import sys
+        import threading
+
+        tree = IntervalTree()
+        entries = []
+        rng = random.Random(0xB0A5)
+        workers = 8
+        rounds = 30
+        barrier = threading.Barrier(workers + 1, timeout=60)
+        errors = []
+
+        def stabber():
+            for _ in range(rounds):
+                barrier.wait()  # this round's burst is complete
+                try:
+                    expected = brute_force_stab(entries, 0, 2000)
+                    got = tree.stab(0, 2000)  # races the other rebuilds
+                    if got != expected:
+                        errors.append((got, expected))
+                except Exception as error:  # noqa: BLE001 — surfaced below
+                    errors.append(error)
+                barrier.wait()  # round done; mutator may proceed
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=stabber) for _ in range(workers)]
+        try:
+            for thread in threads:
+                thread.start()
+            for index in range(rounds):
+                for offset in range(_PATCH_LIMIT + 1):
+                    low = rng.randint(0, 1000)
+                    entry = (low, low + rng.randint(0, 100), (index, offset), 1.0)
+                    tree.insert(*entry)
+                    entries.append(entry)
+                stale = tree._flat is not None and tree._flat[0] != tree._epoch
+                if index and not stale:
+                    errors.append(f"round {index}: view not stale after the burst")
+                barrier.wait()  # release the stabbers onto the stale view
+                barrier.wait()  # wait for all stabs before writing again
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[:3]
