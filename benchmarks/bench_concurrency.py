@@ -1,18 +1,15 @@
-"""Concurrency wrappers: what the locking and fan-out actually cost.
+"""Concurrency wrapper: what the locking actually costs.
 
 The paper kept its evaluation single-threaded for fairness (section 4.2)
-but argues the per-attribute partitioning parallelises naturally; these
-benchmarks quantify the wrapper overheads on CPython so deployments can
-decide with numbers: the RW lock's per-match cost, and the thread-pool
-fan-out's fixed overhead versus the serial hot loop (GIL-bound here, a
-true win only on free-threaded runtimes).
+and notes that concurrent updates and matches need only "an appropriate
+locking scheme" (section 7.1); these benchmarks put the RW lock's
+per-match cost next to the serial hot loop so deployments can decide
+with numbers.
 """
-
-import pytest
 
 from conftest import BENCH_N, EVENT_POOL, MatcherBench
 from repro.bench.harness import load_subscriptions
-from repro.core.concurrent import ParallelFXTMMatcher, ThreadSafeMatcher
+from repro.core.concurrent import ThreadSafeMatcher
 from repro.core.matcher import FXTMMatcher
 from repro.workloads.generator import MicroWorkload, MicroWorkloadConfig
 
@@ -43,14 +40,3 @@ def test_thread_safe_wrapper_overhead(benchmark):
     bench = MatcherBench(safe, base.events(EVENT_POOL), k=max(1, BENCH_N // 100))
     benchmark(bench.match_one)
     benchmark.extra_info["variant"] = "rw-locked"
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_attribute_search(benchmark, workers):
-    base = workload()
-    matcher = ParallelFXTMMatcher(max_workers=workers, prorate=True)
-    load_subscriptions(matcher, base.subscriptions())
-    bench = MatcherBench(matcher, base.events(EVENT_POOL), k=max(1, BENCH_N // 100))
-    benchmark(bench.match_one)
-    benchmark.extra_info.update({"variant": "parallel", "workers": workers})
-    matcher.close()

@@ -43,7 +43,6 @@ from repro.core import (
     MatchExplanation,
     MatchResult,
     PacingCurve,
-    ParallelFXTMMatcher,
     ParseError,
     PricedExchange,
     PricingError,
@@ -90,7 +89,6 @@ __all__ = [
     "MatchExplanation",
     "MatchResult",
     "PacingCurve",
-    "ParallelFXTMMatcher",
     "ParseError",
     "PricedExchange",
     "PricingError",

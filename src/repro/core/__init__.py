@@ -8,7 +8,7 @@ from repro.core.codec import (
     loads_event,
     loads_subscription,
 )
-from repro.core.concurrent import ParallelFXTMMatcher, ReadWriteLock, ThreadSafeMatcher
+from repro.core.concurrent import ReadWriteLock, ThreadSafeMatcher
 from repro.core.controller import LocalController, Request, RequestKind, Response
 from repro.core.explain import ConstraintExplanation, MatchExplanation, explain, explain_match
 from repro.core.parser import (
@@ -54,7 +54,6 @@ __all__ = [
     "InstrumentedMatcher",
     "MatchExplanation",
     "MatcherStats",
-    "ParallelFXTMMatcher",
     "PricedExchange",
     "PricingError",
     "ReadWriteLock",

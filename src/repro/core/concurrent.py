@@ -8,34 +8,32 @@ comparison" (section 4.2); section 7.1 adds that distributed data access
 "is easily translated into multi-threading ... with an appropriate
 locking scheme for concurrent updates and matches".
 
-This module supplies that locking scheme and the parallel search:
+This module supplies that locking scheme:
 
 * :class:`ReadWriteLock` — a writer-preferring RW lock (many concurrent
   matches, exclusive subscription updates);
-* :class:`ThreadSafeMatcher` — wraps any matcher: ``match`` takes the
-  read side, ``add/cancel`` the write side, so a server can serve
-  matches from a thread pool while subscriptions churn;
-* :class:`ParallelFXTMMatcher` — FX-TM with the per-attribute structure
-  searches fanned out to a thread pool.  Under CPython's GIL this
-  demonstrates the decomposition rather than a speedup; on GIL-free
-  runtimes the per-attribute searches genuinely parallelise.
+* :class:`ThreadSafeMatcher` — wraps any matcher: matches and reads take
+  the read side, ``add/cancel/update`` the write side, so a server can
+  serve matches from a thread pool while subscriptions churn.
+
+It holds no parallel search: under CPython's GIL a thread-pool fan-out
+of the per-attribute searches only adds overhead.  Parallel matching is
+ROADMAP's worker-process item (overlay leaves and sid-range shards on a
+process pool over shared-memory arrays).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.events import Event
-from repro.core.interfaces import TopKMatcher
-from repro.core.matcher import FXTMMatcher, _RangedAttributeIndex
+from repro.core.interfaces import MatcherProxy, TopKMatcher
 from repro.core.probecache import ProbeCache
 from repro.core.results import MatchResult
-from repro.core.scoring import SUM
 from repro.core.subscriptions import Subscription
 
-__all__ = ["ReadWriteLock", "ThreadSafeMatcher", "ParallelFXTMMatcher"]
+__all__ = ["ReadWriteLock", "ThreadSafeMatcher"]
 
 
 class ReadWriteLock:
@@ -105,23 +103,27 @@ class ReadWriteLock:
         return self._Guard(self.acquire_write, self.release_write)
 
 
-class ThreadSafeMatcher:
+class ThreadSafeMatcher(MatcherProxy):
     """Any matcher behind a read/write lock.
 
     Matching takes the read side, so concurrent matches proceed in
     parallel; subscription changes take the write side and exclude both
-    matches and each other.
+    matches and each other.  Every member that touches the inner
+    matcher's state is overridden here to take the lock; the rest of the
+    surface (configuration, tracer, heat) is forwarded unlocked by
+    :class:`~repro.core.interfaces.MatcherProxy`.
 
     Note: matchers with budget tracking mutate spend state during
     ``match``, so budgets demand the *write* side for matching too —
     the wrapper detects that and degrades to exclusive matching.
     """
 
-    def __init__(self, inner: TopKMatcher) -> None:
-        self.inner = inner
+    def __init__(self, inner: Union[TopKMatcher, MatcherProxy]) -> None:
+        super().__init__(inner)
         self._lock = ReadWriteLock()
         self._exclusive_match = inner.budget_tracker is not None
 
+    # -- writes --------------------------------------------------------
     def add_subscription(self, subscription: Subscription) -> None:
         with self._lock.write_locked():
             self.inner.add_subscription(subscription)
@@ -130,6 +132,11 @@ class ThreadSafeMatcher:
         with self._lock.write_locked():
             return self.inner.cancel_subscription(sid)
 
+    def update_subscription(self, subscription: Subscription) -> Subscription:
+        with self._lock.write_locked():
+            return self.inner.update_subscription(subscription)
+
+    # -- matches -------------------------------------------------------
     def match(self, event: Event, k: int) -> List[MatchResult]:
         if self._exclusive_match:
             with self._lock.write_locked():
@@ -155,6 +162,15 @@ class ThreadSafeMatcher:
         with self._lock.read_locked():
             return self.inner.match_batch(events, k, probe_cache)
 
+    # -- reads ---------------------------------------------------------
+    def get_subscription(self, sid: Any) -> Subscription:
+        with self._lock.read_locked():
+            return self.inner.get_subscription(sid)
+
+    def budget_multiplier(self, sid: Any) -> float:
+        with self._lock.read_locked():
+            return self.inner.budget_multiplier(sid)
+
     def __len__(self) -> int:
         with self._lock.read_locked():
             return len(self.inner)
@@ -164,101 +180,7 @@ class ThreadSafeMatcher:
             return sid in self.inner
 
     @property
-    def name(self) -> str:
-        return self.inner.name
-
-
-class ParallelFXTMMatcher(FXTMMatcher):
-    """FX-TM with per-attribute structure searches run on a thread pool.
-
-    Faithful to the paper's observation that the two-level index makes
-    attribute searches independent.  Each worker stabs one attribute's
-    structure and returns ``(sid, subscore)`` pairs; the main thread folds
-    them into the score map and runs the top-k phase, preserving exact
-    FX-TM semantics.
-    """
-
-    name = "fx-tm/parallel"
-
-    def __init__(self, max_workers: int = 4, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="fxtm-attr"
-        )
-
-    def close(self) -> None:
-        """Shut the worker pool down; further matches raise RuntimeError."""
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelFXTMMatcher":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def _search_attribute(
-        self, attribute: str, value: Any, event: Event
-    ) -> List[Tuple[Any, float]]:
-        """One worker's share: all (sid, subscore) pairs for an attribute."""
-        structure = self._master_index.get(attribute)
-        if structure is None:
-            return []
-        override = event.override_weight(attribute) if event.has_weights else None
-        out = []
-        if isinstance(structure, _RangedAttributeIndex):
-            interval = event.interval_of(attribute)
-            qlo, qhi = interval.low, interval.high
-            kind = self.schema.kind_of(attribute)
-            constant = kind.proration_constant if kind is not None else 0
-            event_width = qhi - qlo + constant
-            for low, high, sid, weight in structure.tree.stab(qlo, qhi):
-                if override is not None:
-                    weight = override
-                if self.prorate:
-                    overlap = min(qhi, high) - max(qlo, low) + constant
-                    fraction = overlap / event_width if event_width > 0 else 1.0
-                    weight *= min(fraction, 1.0)
-                out.append((sid, weight))
-        else:
-            bucket = structure.buckets.get(value)
-            if bucket is not None:
-                for sid, weight in bucket.get_all():
-                    out.append((sid, override if override is not None else weight))
-        return out
-
-    def match_batch(
-        self,
-        events: Sequence[Event],
-        k: int,
-        probe_cache: Optional[ProbeCache] = None,
-    ) -> List[List[MatchResult]]:
-        """Batches deliberately take FX-TM's serial cached path (FX602).
-
-        The per-batch probe cache already collapses repeated stabs across
-        events, which is what the pool-based fan-out would spend its
-        workers recomputing — plus per-event submit/join overhead.  The
-        results are exact either way; this override exists to make the
-        choice explicit rather than an accident of inheritance.
-        """
-        return super().match_batch(events, k, probe_cache=probe_cache)
-
-    def _match_topk(self, event: Event, k: int) -> List[MatchResult]:
-        known = list(event.known_items())
-        futures = [
-            self._pool.submit(self._search_attribute, attribute, value, event)
-            for attribute, value in known
-        ]
-        aggregation = self.aggregation
-        is_sum = aggregation is SUM
-        scoremap: Dict[Any, float] = {}
-        for future in futures:
-            for sid, subscore in future.result():
-                if is_sum:
-                    scoremap[sid] = scoremap.get(sid, 0.0) + subscore
-                else:
-                    scoremap[sid] = aggregation.combine(
-                        scoremap.get(sid, aggregation.zero), subscore
-                    )
-        return self._select_topk(scoremap, k)
+    def subscriptions(self) -> Dict[Any, Subscription]:
+        """A copy taken under the read lock, never the live dict."""
+        with self._lock.read_locked():
+            return dict(self.inner.subscriptions)

@@ -40,13 +40,16 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.budget import BudgetWindowSpec
-from repro.core.events import Event
 from repro.core.interfaces import TopKMatcher
 from repro.core.parser import ParseError, parse_event, parse_subscription
 from repro.core.results import MatchResult
-from repro.errors import ReproError
+from repro.errors import ObservabilityError, ReproError
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 
-__all__ = ["RequestKind", "Request", "Response", "LocalController"]
+__all__ = [
+    "RequestKind", "Request", "Response", "LocalController", "render_introspection",
+]
 
 
 class RequestKind(enum.Enum):
@@ -228,10 +231,13 @@ class LocalController:
             if request.kind is RequestKind.CANCEL:
                 self.matcher.cancel_subscription(request.sid)
                 return Response(ok=True, request=request)
-            if request.kind is RequestKind.METRICS:
-                return self._metrics_response(request)
-            if request.kind is RequestKind.TRACE:
-                return self._trace_response(request)
+            if request.kind in (RequestKind.METRICS, RequestKind.TRACE):
+                payload = render_introspection(
+                    request,
+                    self.registry or getattr(self.matcher, "registry", None),
+                    self.tracer or getattr(self.matcher, "tracer", None),
+                )
+                return Response(ok=True, request=request, payload=payload)
             if request.kind is RequestKind.BATCH:
                 events = [parse_event(text) for text in request.event_texts]
                 batches = self.matcher.match_batch(events, request.k)
@@ -242,40 +248,6 @@ class LocalController:
         except ReproError as error:
             self.requests_failed += 1
             return Response(ok=False, request=request, error=str(error))
-
-    def _metrics_response(self, request: Request) -> Response:
-        registry = self.registry or getattr(self.matcher, "registry", None)
-        if registry is None:
-            self.requests_failed += 1
-            return Response(
-                ok=False, request=request,
-                error="no metrics registry attached (wrap the matcher in "
-                      "InstrumentedMatcher or pass registry=)",
-            )
-        if request.fmt == "prom":
-            payload = registry.to_prom_text()
-        else:
-            payload = json.dumps(registry.snapshot(), indent=2, sort_keys=True)
-        return Response(ok=True, request=request, payload=payload)
-
-    def _trace_response(self, request: Request) -> Response:
-        tracer = self.tracer or getattr(self.matcher, "tracer", None)
-        if tracer is None:
-            self.requests_failed += 1
-            return Response(
-                ok=False, request=request,
-                error="no tracer attached (pass tracer= to the controller "
-                      "or attach one to the matcher)",
-            )
-        if tracer.last_trace is None:
-            self.requests_failed += 1
-            return Response(ok=False, request=request, error="no traces recorded yet")
-        payload = (
-            tracer.render()
-            if request.fmt == "text"
-            else json.dumps(tracer.to_json(), indent=2)
-        )
-        return Response(ok=True, request=request, payload=payload)
 
     def run(self, lines: Iterable[str]) -> Iterator[Response]:
         """Process a stream of request lines, yielding responses.
@@ -289,6 +261,33 @@ class LocalController:
                 continue
             yield self.submit(stripped)
 
-    def match_event(self, event: Event, k: int) -> List[MatchResult]:
-        """Direct (already-parsed) match entry point."""
-        return self.matcher.match(event, k)
+
+def render_introspection(
+    request: Request, registry: Optional[MetricsRegistry], tracer: Optional[Tracer]
+) -> str:
+    """The payload of a METRICS or TRACE request, for either controller.
+
+    METRICS renders ``registry`` as JSON or Prometheus text; TRACE
+    renders ``tracer``'s last trace as JSON or a flame-style tree.
+    Raises :class:`~repro.errors.ObservabilityError` when there is
+    nothing to expose, which the controllers answer as a failed request.
+    """
+    if request.kind is RequestKind.METRICS:
+        if registry is None:
+            raise ObservabilityError(
+                "no metrics registry attached (wrap the matcher in "
+                "InstrumentedMatcher or pass registry=)"
+            )
+        if request.fmt == "prom":
+            return registry.to_prom_text()
+        return json.dumps(registry.snapshot(), indent=2, sort_keys=True)
+    if tracer is None:
+        raise ObservabilityError(
+            "no tracer attached (pass tracer= to the controller, the matcher "
+            "or the distributed system)"
+        )
+    if tracer.last_trace is None:
+        raise ObservabilityError("no traces recorded yet")
+    if request.fmt == "text":
+        return tracer.render()
+    return json.dumps(tracer.to_json(), indent=2)

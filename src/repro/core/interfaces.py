@@ -10,12 +10,16 @@ The base class also centralises the budget-window bookkeeping that is
 identical across algorithms — charging winners and advancing the logical
 clock "between matching iterations" (paper section 7.7) — so each concrete
 matcher only implements the score computation itself.
+
+:class:`MatcherProxy` is the base of the wrappers that decorate a matcher
+(statistics, locking): it forwards that same API, member by member, so a
+wrapper overrides only what it adds and wrappers stack in either order.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.attributes import Schema
 from repro.core.budget import BudgetTracker, LogicalClock
@@ -26,7 +30,7 @@ from repro.core.scoring import SUM, Aggregation
 from repro.core.subscriptions import Subscription
 from repro.errors import DuplicateSubscriptionError, UnknownSubscriptionError
 
-__all__ = ["TopKMatcher"]
+__all__ = ["TopKMatcher", "MatcherProxy"]
 
 
 class TopKMatcher(abc.ABC):
@@ -234,3 +238,114 @@ class TopKMatcher(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(N={len(self._subscriptions)}, prorate={self.prorate})"
+
+
+class MatcherProxy:
+    """Forwards the whole :class:`TopKMatcher` surface to :attr:`inner`.
+
+    The base of :class:`~repro.core.stats.InstrumentedMatcher` and
+    :class:`~repro.core.concurrent.ThreadSafeMatcher`: each overrides only
+    what it adds, and since a proxy presents the surface it wraps, any
+    wrapper stacks on any other.  Every member is delegated explicitly —
+    there is deliberately no ``__getattr__`` fallback, which would let a
+    member added to :class:`TopKMatcher` bypass a wrapper's lock unseen;
+    tests/core/test_proxy.py checks that the base covers the surface.
+
+    Besides that surface it forwards the two attributes the wrappers'
+    consumers read: :attr:`registry` (``None`` for a bare engine) and
+    :attr:`backend`.
+    """
+
+    def __init__(self, inner: Union[TopKMatcher, "MatcherProxy"]) -> None:
+        self.inner = inner
+
+    # -- subscription management ---------------------------------------
+    def add_subscription(self, subscription: Subscription) -> None:
+        self.inner.add_subscription(subscription)
+
+    def cancel_subscription(self, sid: Any) -> Subscription:
+        return self.inner.cancel_subscription(sid)
+
+    def update_subscription(self, subscription: Subscription) -> Subscription:
+        return self.inner.update_subscription(subscription)
+
+    def get_subscription(self, sid: Any) -> Subscription:
+        return self.inner.get_subscription(sid)
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def __contains__(self, sid: Any) -> bool:
+        return sid in self.inner
+
+    @property
+    def subscriptions(self) -> Dict[Any, Subscription]:
+        return self.inner.subscriptions
+
+    # -- matching ------------------------------------------------------
+    def match(self, event: Event, k: int) -> List[MatchResult]:
+        return self.inner.match(event, k)
+
+    def match_batch(
+        self,
+        events: Sequence[Event],
+        k: int,
+        probe_cache: Optional[ProbeCache] = None,
+    ) -> List[List[MatchResult]]:
+        return self.inner.match_batch(events, k, probe_cache)
+
+    def budget_multiplier(self, sid: Any) -> float:
+        return self.inner.budget_multiplier(sid)
+
+    # -- configuration -------------------------------------------------
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+    @property
+    def schema(self) -> Schema:
+        return self.inner.schema
+
+    @property
+    def prorate(self) -> bool:
+        return self.inner.prorate
+
+    @property
+    def aggregation(self) -> Aggregation:
+        return self.inner.aggregation
+
+    @property
+    def budget_tracker(self) -> Optional[BudgetTracker]:
+        return self.inner.budget_tracker
+
+    @property
+    def include_nonpositive(self) -> bool:
+        return self.inner.include_nonpositive
+
+    @property
+    def tracer(self) -> Optional[Any]:
+        return self.inner.tracer
+
+    @tracer.setter
+    def tracer(self, value: Optional[Any]) -> None:
+        self.inner.tracer = value
+
+    @property
+    def heat(self) -> Optional[Any]:
+        return self.inner.heat
+
+    @heat.setter
+    def heat(self, value: Optional[Any]) -> None:
+        self.inner.heat = value
+
+    # -- attributes outside the TopKMatcher surface --------------------
+    @property
+    def registry(self) -> Optional[Any]:
+        """The nearest instrumented layer's metrics registry, if any."""
+        return getattr(self.inner, "registry", None)
+
+    @property
+    def backend(self) -> str:
+        """The inner engine's resolved backend (``"python"`` unless it has one)."""
+        backend: str = getattr(self.inner, "backend", "python")
+        return backend

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.events import Event
-from repro.core.interfaces import TopKMatcher
+from repro.core.interfaces import MatcherProxy, TopKMatcher
 from repro.core.probecache import ProbeCache
 from repro.core.results import MatchResult
 from repro.core.subscriptions import Subscription
@@ -318,7 +318,7 @@ class MatcherStats:
         }
 
 
-class InstrumentedMatcher:
+class InstrumentedMatcher(MatcherProxy):
     """A transparent statistics-collecting wrapper around any matcher.
 
     ``registry`` shares one :class:`~repro.obs.metrics.MetricsRegistry`
@@ -332,7 +332,8 @@ class InstrumentedMatcher:
 
     Metrics are labeled with the inner matcher's ``name`` and (for the
     array engine) resolved ``backend``, so one registry can host several
-    engines distinguishably.
+    engines distinguishably.  The rest of the matcher surface is
+    forwarded by :class:`~repro.core.interfaces.MatcherProxy`.
 
     >>> from repro import FXTMMatcher
     >>> wrapped = InstrumentedMatcher(FXTMMatcher())
@@ -341,27 +342,27 @@ class InstrumentedMatcher:
 
     def __init__(
         self,
-        inner: TopKMatcher,
+        inner: Union[TopKMatcher, MatcherProxy],
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Any] = None,
         exemplars: Optional[Any] = None,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.stats = MatcherStats(
             registry,
-            algorithm=getattr(inner, "name", "unknown"),
+            algorithm=inner.name,
             backend=getattr(inner, "backend", "python"),
         )
         self.exemplars = exemplars
         if tracer is not None:
-            self.inner.tracer = tracer
+            self.tracer = tracer
 
     @property
     def registry(self) -> MetricsRegistry:
         """The registry backing this wrapper's metrics."""
         return self.stats.registry
 
-    # -- the TopKMatcher surface -----------------------------------------
+    # -- the counted members ---------------------------------------------
     def add_subscription(self, subscription: Subscription) -> None:
         self.inner.add_subscription(subscription)
         self.stats.record_add()
@@ -394,16 +395,22 @@ class InstrumentedMatcher:
             self.exemplars.offer(trace, elapsed, k=k, results=len(results))
         return results
 
-    def match_batch(self, events: List[Event], k: int) -> List[List[MatchResult]]:
+    def match_batch(
+        self,
+        events: Sequence[Event],
+        k: int,
+        probe_cache: Optional[ProbeCache] = None,
+    ) -> List[List[MatchResult]]:
         """Batched matching with probe-cache observability.
 
         Supplies the per-batch :class:`~repro.core.probecache.ProbeCache`
-        itself so hit/miss counts land in the registry
-        (``repro_probe_cache_*``); matchers whose ``match_batch`` ignores
-        the cache (the base-class loop) simply record zero probes.
+        itself (unless the caller passes one) so hit/miss counts land in
+        the registry (``repro_probe_cache_*``); matchers whose
+        ``match_batch`` ignores the cache (the base-class loop) simply
+        record zero probes.
         """
         started = time.perf_counter()
-        cache = ProbeCache()
+        cache = probe_cache if probe_cache is not None else ProbeCache()
         tracer = self.tracer
         if tracer is None:
             batches = self.inner.match_batch(events, k, probe_cache=cache)
@@ -418,35 +425,6 @@ class InstrumentedMatcher:
             trace = tracer.last_trace if tracer is not None else None
             self.exemplars.offer(trace, elapsed, k=k, batch=len(events))
         return batches
-
-    def get_subscription(self, sid: Any) -> Subscription:
-        return self.inner.get_subscription(sid)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __contains__(self, sid: Any) -> bool:
-        return sid in self.inner
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def schema(self) -> Any:
-        return self.inner.schema
-
-    @property
-    def budget_tracker(self) -> Any:
-        return self.inner.budget_tracker
-
-    @property
-    def tracer(self) -> Any:
-        return getattr(self.inner, "tracer", None)
-
-    @tracer.setter
-    def tracer(self, value: Any) -> None:
-        self.inner.tracer = value
 
     def __repr__(self) -> str:
         return f"InstrumentedMatcher({self.inner!r}, matches={self.stats.matches})"

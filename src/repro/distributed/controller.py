@@ -16,11 +16,15 @@ and tracer (docs/observability.md).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List, Optional
 
-from repro.core.controller import LocalController, Request, RequestKind
+from repro.core.controller import (
+    LocalController,
+    Request,
+    RequestKind,
+    render_introspection,
+)
 from repro.core.parser import ParseError, parse_event, parse_subscription
 from repro.core.results import MatchResult
 from repro.distributed.cluster import (
@@ -108,31 +112,9 @@ class DistributedController:
             if request.kind is RequestKind.CANCEL:
                 self.system.cancel_subscription(request.sid)
                 return DistributedResponse(ok=True, request=request)
-            if request.kind is RequestKind.METRICS:
-                registry = self.system.registry
-                payload = (
-                    registry.to_prom_text()
-                    if request.fmt == "prom"
-                    else json.dumps(registry.snapshot(), indent=2, sort_keys=True)
-                )
-                return DistributedResponse(ok=True, request=request, payload=payload)
-            if request.kind is RequestKind.TRACE:
-                tracer = self.system.tracer
-                if tracer is None:
-                    self.requests_failed += 1
-                    return DistributedResponse(
-                        ok=False, request=request,
-                        error="no tracer attached (pass tracer= to the system)",
-                    )
-                if tracer.last_trace is None:
-                    self.requests_failed += 1
-                    return DistributedResponse(
-                        ok=False, request=request, error="no traces recorded yet"
-                    )
-                payload = (
-                    tracer.render()
-                    if request.fmt == "text"
-                    else json.dumps(tracer.to_json(), indent=2)
+            if request.kind in (RequestKind.METRICS, RequestKind.TRACE):
+                payload = render_introspection(
+                    request, self.system.registry, self.system.tracer
                 )
                 return DistributedResponse(ok=True, request=request, payload=payload)
             if request.kind is RequestKind.BATCH:

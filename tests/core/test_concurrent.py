@@ -1,13 +1,14 @@
-"""Concurrency: RW lock semantics, thread-safe wrapper, parallel FX-TM."""
+"""Concurrency: RW lock semantics and the thread-safe wrapper."""
 
 import random
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.attributes import Interval
-from repro.core.concurrent import ParallelFXTMMatcher, ReadWriteLock, ThreadSafeMatcher
+from repro.core.concurrent import ReadWriteLock, ThreadSafeMatcher
 from repro.core.budget import BudgetTracker
 from repro.core.events import Event
 from repro.core.matcher import FXTMMatcher
@@ -162,6 +163,45 @@ class TestThreadSafeMatcher:
             worker.join()
         assert errors == []
 
+    def test_update_is_atomic_to_concurrent_matches(self):
+        """An update is a cancel plus an add inside the inner matcher; under
+        the write lock no match sees the sid between the two."""
+        safe = ThreadSafeMatcher(FXTMMatcher())
+        safe.add_subscription(Subscription("s", [Constraint("a", Interval(0, 100), 1.0)]))
+        errors = []
+        stop = threading.Event()
+
+        def match_worker():
+            while not stop.is_set():
+                sids = [r.sid for r in safe.match(Event({"a": 5}), 1)]
+                if sids != ["s"]:
+                    errors.append(sids)
+                    return
+
+        def update_worker():
+            for index in range(300):
+                weight = 1.0 + index % 2
+                safe.update_subscription(
+                    Subscription("s", [Constraint("a", Interval(0, 100), weight)])
+                )
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            matchers = [threading.Thread(target=match_worker) for _ in range(3)]
+            updater = threading.Thread(target=update_worker)
+            for thread in matchers + [updater]:
+                thread.start()
+            updater.join(timeout=30)
+            stop.set()
+            for thread in matchers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in matchers + [updater])
+        assert errors == []
+        assert safe.get_subscription("s").constraints[0].weight == 2.0
+
     def test_concurrent_churn_never_corrupts(self):
         """Matches racing adds/cancels: every match returns a consistent
         snapshot and the final state equals the serial outcome."""
@@ -204,65 +244,3 @@ class TestThreadSafeMatcher:
             thread.join()
         assert not errors
         assert len(safe) == 90
-
-
-class TestParallelFXTM:
-    @pytest.mark.parametrize("prorate", [False, True])
-    def test_equals_serial_fxtm(self, prorate):
-        rng = random.Random(7)
-        subs = random_subscriptions(rng, 250, with_sets=True)
-        serial = FXTMMatcher(prorate=prorate)
-        with ParallelFXTMMatcher(max_workers=4, prorate=prorate) as parallel:
-            for sub in subs:
-                serial.add_subscription(sub)
-                parallel.add_subscription(sub)
-            for _ in range(20):
-                event = random_event(rng)
-                assert parallel.match(event, 8) == serial.match(event, 8)
-
-    def test_event_weights(self):
-        rng = random.Random(8)
-        subs = random_subscriptions(rng, 150)
-        serial = FXTMMatcher(prorate=True)
-        with ParallelFXTMMatcher(prorate=True) as parallel:
-            for sub in subs:
-                serial.add_subscription(sub)
-                parallel.add_subscription(sub)
-            for _ in range(10):
-                event = random_event(rng, with_weights=True)
-                got = parallel.match(event, 5)
-                expected = serial.match(event, 5)
-                assert [r.score for r in got] == pytest.approx(
-                    [r.score for r in expected]
-                )
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelFXTMMatcher(max_workers=0)
-
-    def test_usable_after_close_serially_fails_gracefully(self):
-        parallel = ParallelFXTMMatcher()
-        parallel.add_subscription(
-            Subscription("s", [Constraint("a", Interval(0, 10), 1.0)])
-        )
-        parallel.close()
-        with pytest.raises(RuntimeError):
-            parallel.match(Event({"a": 5}), 1)
-
-
-class TestParallelBatchDelegation:
-    def test_match_batch_is_an_explicit_override(self):
-        # The delegation to FX-TM's serial cached batch path is a
-        # deliberate choice (FX602), not an accident of inheritance.
-        assert "match_batch" in ParallelFXTMMatcher.__dict__
-
-    def test_match_batch_equals_serial_fxtm(self):
-        rng = random.Random(9)
-        subs = random_subscriptions(rng, 200, with_sets=True)
-        serial = FXTMMatcher(prorate=True)
-        with ParallelFXTMMatcher(max_workers=4, prorate=True) as parallel:
-            for sub in subs:
-                serial.add_subscription(sub)
-                parallel.add_subscription(sub)
-            events = [random_event(rng) for _ in range(8)]
-            assert parallel.match_batch(events, 5) == serial.match_batch(events, 5)

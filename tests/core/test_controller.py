@@ -191,10 +191,3 @@ class TestProcessing:
         assert response.ok
         response = c.process(Request(RequestKind.MATCH, k=1, event_text="b: 2"))
         assert response.results[0].sid == "s9"
-
-    def test_match_event_direct(self):
-        from repro.core.events import Event
-
-        c = controller()
-        c.submit("ADD s1 a in [0, 10]")
-        assert c.match_event(Event({"a": 3}), k=1)[0].sid == "s1"
