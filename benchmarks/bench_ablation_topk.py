@@ -1,4 +1,4 @@
-"""Ablation: bounded top-k tree set (S log k) vs full sort (S log S)."""
+"""Ablation: bounded top-k set (S log k) vs full sort (S log S)."""
 
 import pytest
 

@@ -6,7 +6,7 @@ analysis rests on, plus the BE* leaf-capacity knob:
 * :class:`FXTMLinearIndexMatcher` — replaces the per-attribute interval
   trees with flat lists scanned linearly, removing the ``log N`` retrieval
   term (Theorem 3's ``M log N``) while keeping everything else identical;
-* :class:`FXTMFullSortMatcher` — replaces the bounded top-k tree set with
+* :class:`FXTMFullSortMatcher` — replaces the bounded top-k set with
   a full sort of the score map, turning the ``S log k`` phase into
   ``S log S`` (the cost the paper attributes to Fagin-style approaches in
   section 2.3);
@@ -108,7 +108,7 @@ class FXTMFullSortMatcher(FXTMMatcher):
 
     def _match_topk(self, event: Event, k: int) -> List[MatchResult]:
         # Compute the same scoremap the stock algorithm would, but without
-        # the bounded tree set: ask for everything, sort, cut.
+        # the bounded top-k set: ask for everything, sort, cut.
         full = super()._match_topk(event, len(self.subscriptions) or 1)
         return sort_results(full)[:k]
 
@@ -182,7 +182,7 @@ def ablation_topk_structure(
     selectivity: float = 0.5,
     event_count: Optional[int] = None,
 ) -> FigureResult:
-    """Bounded tree set vs full sort for the top-k phase, over N.
+    """Bounded top-k set vs full sort for the top-k phase, over N.
 
     Uses a higher selectivity than the default so ``S`` is large enough
     for the ``S log S`` vs ``S log k`` separation to be visible.

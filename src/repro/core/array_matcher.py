@@ -13,10 +13,10 @@ structure on the match path for flat arrays
   dense interned slot per subscription, instead of hashing sids into a
   per-match dict — a generation-stamped ``mark`` array makes resetting
   the accumulator free;
-* top-k selection replays :class:`~repro.structures.treeset.BoundedTopK`
-  admission on a ``heapq`` of ``(score, sid)`` tuples (same strict
-  ``score > min`` rule, same ``(score, sid)`` eviction order) instead
-  of a red-black tree.
+* top-k selection runs :class:`~repro.structures.treeset.BoundedTopK`'s
+  heap inline: a ``heapq`` of ``(score, sid)`` tuples with the same
+  strict ``score > min`` rule and the same ``(score, sid)`` eviction
+  order, without an ``offer`` call per candidate.
 
 Equivalence notes (pinned by ``tests/structures/test_soa_differential.py``):
 
@@ -487,9 +487,9 @@ class ArrayTopKMatcher(TopKMatcher):
         sid_of = self._sid_of
         include_nonpositive = self.include_nonpositive
         tracker = self.budget_tracker
-        # heap holds (score, sid): heap[0] is the lexicographic minimum,
-        # exactly ScoredTreeSet.find_min; heapreplace evicts it, exactly
-        # BoundedTopK's remove-min-then-add under the strict > rule.
+        # BoundedTopK.offer inlined: heap holds (score, sid), heap[0] is
+        # the lexicographic minimum, and heapreplace evicts it under the
+        # strict > rule.
         heap: List[Tuple[float, Any]] = []
         if tracker is None:
             for slot in order:

@@ -137,12 +137,12 @@ class ThreadSafeMatcher(MatcherProxy):
             return self.inner.update_subscription(subscription)
 
     # -- matches -------------------------------------------------------
-    def match(self, event: Event, k: int) -> List[MatchResult]:
+    def match(self, event: Event, k: int, *, cost: float = 1.0) -> List[MatchResult]:
         if self._exclusive_match:
             with self._lock.write_locked():
-                return self.inner.match(event, k)
+                return self.inner.match(event, k, cost=cost)
         with self._lock.read_locked():
-            return self.inner.match(event, k)
+            return self.inner.match(event, k, cost=cost)
 
     def match_batch(
         self,

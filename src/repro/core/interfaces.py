@@ -166,18 +166,19 @@ class TopKMatcher(abc.ABC):
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
-    def match(self, event: Event, k: int) -> List[MatchResult]:
+    def match(self, event: Event, k: int, *, cost: float = 1.0) -> List[MatchResult]:
         """Return the top-k matching set for ``event``, best first.
 
         Template method: delegates score computation to the concrete
-        algorithm, then settles budgets — winners are charged and the
+        algorithm, then settles budgets — each winner is charged ``cost``
+        (the flat 1.0 per match unless a pricer sets a price) and the
         logical clock advances one unit ("a time unit is the time taken by
         a single iteration of the matching algorithm", paper section 7.7).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         results = self._match_topk(event, k)
-        self._settle(results)
+        self._settle(results, cost)
         return results
 
     def match_batch(
@@ -205,12 +206,12 @@ class TopKMatcher(abc.ABC):
             raise ValueError(f"k must be >= 1, got {k}")
         return [self.match(event, k) for event in events]
 
-    def _settle(self, results: List[MatchResult]) -> None:
+    def _settle(self, results: List[MatchResult], cost: float = 1.0) -> None:
         tracker = self.budget_tracker
         if tracker is None:
             return
         for result in results:
-            tracker.record_match(result.sid)
+            tracker.record_match(result.sid, cost)
         clock = tracker.clock
         if isinstance(clock, LogicalClock):
             clock.tick()
@@ -283,8 +284,8 @@ class MatcherProxy:
         return self.inner.subscriptions
 
     # -- matching ------------------------------------------------------
-    def match(self, event: Event, k: int) -> List[MatchResult]:
-        return self.inner.match(event, k)
+    def match(self, event: Event, k: int, *, cost: float = 1.0) -> List[MatchResult]:
+        return self.inner.match(event, k, cost=cost)
 
     def match_batch(
         self,

@@ -11,9 +11,9 @@ This module implements that idea on top of the existing budget machinery:
   ``price = base x (demand / reference)^elasticity``, clamped to
   configured bounds: prices rise when auctions arrive faster than the
   reference rate and fall in quiet periods;
-* :class:`PricedExchange` — a matcher wrapper that runs the auction,
-  prices it, and charges each *winner's* budget the current price instead
-  of the flat 1.0 the plain matcher charges.  Campaign pacing
+* :class:`PricedExchange` — a matcher front-end that runs the auction,
+  prices it, and has the matcher charge each *winner's* budget the current
+  price (``match(..., cost=price)``) instead of the flat 1.0.  Campaign pacing
   (Definition 4) then automatically responds to price changes: expensive
   periods consume budget faster, dropping the multiplier and cooling the
   campaign exactly when demand is hot.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Any, List, Optional, Tuple
 
-from repro.core.budget import Clock, LogicalClock
+from repro.core.budget import Clock
 from repro.core.events import Event
 from repro.core.interfaces import TopKMatcher
 from repro.core.results import MatchResult
@@ -149,10 +149,12 @@ class DemandBasedPricer:
 class PricedExchange:
     """A matcher front-end that prices every auction and charges winners.
 
-    Must own the budget charging: construct the inner matcher with a
-    ``budget_tracker`` but rely on this wrapper to record spend — the
-    wrapper disables the matcher's own flat 1.0 charging by settling
-    budgets itself.
+    The inner matcher needs a ``budget_tracker``; each auction passes the
+    current price as the matcher's per-winner ``cost``, so spend is
+    settled by the matcher itself.  Any matcher surface works, wrapped
+    ones included (:class:`~repro.core.stats.InstrumentedMatcher`,
+    :class:`~repro.core.concurrent.ThreadSafeMatcher`, whose lock then
+    covers the priced match).
 
     >>> from repro import FXTMMatcher, BudgetTracker, LogicalClock
     >>> clock = LogicalClock()
@@ -178,7 +180,7 @@ class PricedExchange:
         """Run one priced auction.
 
         The inner matcher computes the top-k with budget multipliers as
-        usual, but spend is recorded *here* at the current dynamic price.
+        usual and charges each winner the current dynamic price.
         """
         tracker = self.matcher.budget_tracker
         assert tracker is not None
@@ -187,15 +189,10 @@ class PricedExchange:
         self.auctions += 1
         self.price_history.append((tracker.clock.now(), price))
 
-        # Run the match without the base class's flat charging: compute
-        # results, then settle at the dynamic price.
-        results = self.matcher._match_topk(event, k)
-        for result in results:
-            tracker.record_match(result.sid, cost=price)
+        results = self.matcher.match(event, k, cost=price)
+        # One addition per winner, the same sum the tracker's spend makes.
+        for _result in results:
             self.revenue += price
-        clock = tracker.clock
-        if isinstance(clock, LogicalClock):
-            clock.tick()
         return results
 
     def add_subscription(self, subscription: Subscription) -> None:

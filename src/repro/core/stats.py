@@ -380,14 +380,14 @@ class InstrumentedMatcher(MatcherProxy):
         self.stats.record_add()
         return previous
 
-    def match(self, event: Event, k: int) -> List[MatchResult]:
+    def match(self, event: Event, k: int, *, cost: float = 1.0) -> List[MatchResult]:
         started = time.perf_counter()
         tracer = self.tracer
         if tracer is None:
-            results = self.inner.match(event, k)
+            results = self.inner.match(event, k, cost=cost)
         else:
             with tracer.span("match", algorithm=self.inner.name, k=k):
-                results = self.inner.match(event, k)
+                results = self.inner.match(event, k, cost=cost)
         elapsed = time.perf_counter() - started
         self.stats.record_match(elapsed, results)
         if self.exemplars is not None:

@@ -1,26 +1,33 @@
-"""Tree sets used by FX-TM (paper Table 1, "Tree Set" row).
+"""Tree sets used by FX-TM (paper Table 1, "Tree Set" row), and its top-k set.
 
-Two flavours are provided, matching the two uses in the paper:
+Two tree-set flavours are provided, matching the two uses in the paper:
 
 * :class:`IdTreeSet` — ordered on subscription ids.  Used as the values of
   the discrete-attribute hash map (paper section 4.2: "a tree set of
   matching subscriptions ... ordered on subscription ids sid for quick
   insertion and deletion, but retrieval returns a list of all items").
 
-* :class:`ScoredTreeSet` — ordered on ``(score, sid)``.  Used for the
-  ``topscores`` result set (paper Algorithm 2), where ``treeset-remove-min``
-  and ``treeset-find-min`` maintain the running top-k.
+* :class:`ScoredTreeSet` — ordered on ``(score, sid)``: the paper's
+  ``topscores`` result set (Algorithm 2), where ``treeset-remove-min`` and
+  ``treeset-find-min`` maintain the running top-k.  Table 1 costing
+  (:mod:`repro.bench.table1`) measures it.
 
-* :class:`BoundedTopK` — the size-bounded wrapper implementing Algorithm 2
+* :class:`BoundedTopK` — the size-bounded ``topscores`` set of Algorithm 2
   lines 40–49: a candidate enters only if fewer than k results are held or
-  its score beats the current minimum, which is then evicted.
+  its score beats the current minimum, which is then evicted.  It keeps a
+  binary heap rather than a tree set: the same strict ``>`` admission rule
+  evicts the same minimum at ``O(log k)`` per admission, without a
+  red-black tree's node walks and fixups (see its docstring for why the
+  two are exactly equal).
 
-All mutating operations are ``O(log n)``; ``get_all`` is ``O(n)``.
+The tree sets' mutating operations are ``O(log n)``; ``get_all`` is
+``O(n)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from heapq import heappush, heapreplace
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.structures.rbtree import RedBlackTree
 
@@ -182,15 +189,36 @@ class BoundedTopK:
     matching the paper's strict ``min < w`` comparison — Definition 3
     leaves tie handling to the implementation, and keeping the incumbent
     makes results stable.
+
+    The entries live in a binary heap (:mod:`heapq`) of ``(score, sid)``
+    tuples, so an admission costs ``O(log k)`` and a rejection ``O(1)``.
+    It admits and evicts exactly what a :class:`ScoredTreeSet` driven by
+    ``find_min`` / ``remove_min`` / ``add`` would:
+
+    * ``heap[0]`` is the lexicographic ``(score, sid)`` minimum, which is
+      what :meth:`ScoredTreeSet.find_min` returns (sids are unique, so
+      the minimum is unique too);
+    * admission is the same strict ``score > heap[0][0]``, so a tie with
+      the minimum keeps the incumbent;
+    * :func:`heapq.heapreplace` evicts exactly that minimum, the entry
+      :meth:`ScoredTreeSet.remove_min` evicted;
+    * :meth:`results_descending` sorts the ``(score, sid)`` tuples in
+      reverse, the order of :meth:`ScoredTreeSet.get_all_descending`.
+
+    Sids must therefore be mutually comparable, as the tree set's
+    ``(score, sid)`` keys required.  A sid set beside the heap answers
+    ``in`` in ``O(1)`` and keeps the tree set's duplicate contract:
+    admitting a sid that is already held raises :class:`KeyError`.
     """
 
-    __slots__ = ("_k", "_entries")
+    __slots__ = ("_k", "_heap", "_sids")
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self._k = k
-        self._entries = ScoredTreeSet()
+        self._heap: List[Tuple[float, Any]] = []
+        self._sids: Set[Any] = set()
 
     @property
     def k(self) -> int:
@@ -198,35 +226,43 @@ class BoundedTopK:
         return self._k
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._heap)
 
     def __contains__(self, sid: Any) -> bool:
-        return sid in self._entries
+        return sid in self._sids
 
     def offer(self, sid: Any, score: float) -> bool:
         """Offer a candidate; return ``True`` if it was admitted.
 
-        ``O(log k)`` per offer, giving the paper's ``O(S log k)`` bound over
-        a match with ``S`` candidates.
+        ``O(log k)`` per admission and ``O(1)`` per rejection, giving the
+        paper's ``O(S log k)`` bound over a match with ``S`` candidates.
+        Raises :class:`KeyError`, leaving the set unchanged, when an
+        admitted ``sid`` is already held.
         """
-        entries = self._entries
-        if len(entries) < self._k:
-            entries.add(sid, score)
+        heap = self._heap
+        if len(heap) < self._k:
+            sids = self._sids
+            if sid in sids:
+                raise KeyError(f"sid already present: {sid!r}")
+            heappush(heap, (score, sid))
+            sids.add(sid)
             return True
-        _min_sid, min_score = entries.find_min()
-        if score > min_score:
-            entries.remove_min()
-            entries.add(sid, score)
+        if score > heap[0][0]:
+            sids = self._sids
+            if sid in sids:
+                raise KeyError(f"sid already present: {sid!r}")
+            sids.remove(heapreplace(heap, (score, sid))[1])
+            sids.add(sid)
             return True
         return False
 
     def threshold(self) -> Optional[float]:
         """The score a new candidate must beat, or ``None`` if not full."""
-        if len(self._entries) < self._k:
+        heap = self._heap
+        if len(heap) < self._k:
             return None
-        _sid, score = self._entries.find_min()
-        return score
+        return heap[0][0]
 
     def results_descending(self) -> List[Tuple[Any, float]]:
         """Return the retained ``(sid, score)`` pairs, best first."""
-        return self._entries.get_all_descending()
+        return [(sid, score) for score, sid in sorted(self._heap, reverse=True)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.attributes import Interval
 from repro.core.budget import BudgetTracker, BudgetWindowSpec, LogicalClock
+from repro.core.concurrent import ThreadSafeMatcher
 from repro.core.events import Event
 from repro.core.matcher import FXTMMatcher
 from repro.core.pricing import (
@@ -12,6 +13,7 @@ from repro.core.pricing import (
     PricedExchange,
     PricingError,
 )
+from repro.core.stats import InstrumentedMatcher
 from repro.core.subscriptions import Constraint, Subscription
 
 
@@ -174,3 +176,39 @@ class TestPricedExchange:
         assert len(exchange) == 2
         exchange.cancel_subscription("other")
         assert len(exchange) == 1
+
+
+WRAPPER_STACKS = {
+    "instrumented": InstrumentedMatcher,
+    "threadsafe": ThreadSafeMatcher,
+    "threadsafe-over-instrumented": lambda inner: ThreadSafeMatcher(InstrumentedMatcher(inner)),
+}
+
+
+def _priced_run(wrap):
+    """Run a fixed auction stream; return results, spend per sid and revenue."""
+    clock = LogicalClock()
+    tracker = BudgetTracker(clock=clock)
+    matcher = FXTMMatcher(budget_tracker=tracker)
+    for index, (low, weight, budget) in enumerate(
+        [(0, 1.0, 6), (2, 1.2, 4), (4, 0.9, 10), (1, 0.5, 30)]
+    ):
+        matcher.add_subscription(
+            Subscription(
+                f"c{index}",
+                [Constraint("a", Interval(low, low + 6), weight)],
+                budget=BudgetWindowSpec(budget=budget, window_length=20),
+            )
+        )
+    pricer = DemandBasedPricer(clock, elasticity=0.8, half_life=5.0, reference_rate=0.5)
+    exchange = PricedExchange(wrap(matcher), pricer)
+    results = [exchange.match(Event({"a": 2 + index % 5}), k=2) for index in range(40)]
+    spent = {sid: tracker.state_of(sid).spent for sid in tracker.tracked_sids()}
+    return results, spent, exchange.revenue
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPER_STACKS))
+def test_wrapped_matcher_prices_like_the_bare_engine(name):
+    bare = _priced_run(lambda matcher: matcher)
+    assert bare[2] > 0
+    assert _priced_run(WRAPPER_STACKS[name]) == bare

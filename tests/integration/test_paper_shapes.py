@@ -152,7 +152,7 @@ class TestDistributedShape:
         from repro.bench.fig7 import fig7_distributed
 
         result = fig7_distributed(
-            n=1500, node_counts=(1, 3, 9, 27), k=15, event_count=5,
+            n=4500, node_counts=(1, 3, 9, 27), k=15, event_count=5,
             algorithms=("fx-tm",),
         )
         local = result.series_by_label("fx-tm local")

@@ -230,3 +230,76 @@ def test_property_scored_treeset_remove_min_is_sorted(pairs):
         inserted.append(score)
     drained = [ts.remove_min()[1] for _ in range(len(ts))]
     assert drained == sorted(inserted)
+
+
+class _TreeSetTopK:
+    """Reference top-k: a ScoredTreeSet under find_min / remove_min / add."""
+
+    def __init__(self, k):
+        self.k = k
+        self.entries = ScoredTreeSet()
+
+    def offer(self, sid, score):
+        if len(self.entries) < self.k:
+            self.entries.add(sid, score)
+            return True
+        _min_sid, min_score = self.entries.find_min()
+        if score > min_score:
+            self.entries.remove_min()
+            self.entries.add(sid, score)
+            return True
+        return False
+
+    def threshold(self):
+        if len(self.entries) < self.k:
+            return None
+        return self.entries.find_min()[1]
+
+
+#: A small pool so ties at the k-th boundary are common.
+_SCORE_POOL = st.sampled_from([0.0, -0.0, -2.5, -1.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 3.0])
+
+
+def _sid_streams():
+    """Unique int sids in some examples, unique str sids in others."""
+    ints = st.lists(st.integers(-50, 50), unique=True, max_size=60)
+    strs = st.lists(st.text("abcxyz", min_size=1, max_size=3), unique=True, max_size=60)
+    return st.one_of(ints, strs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sid_streams(), st.data(), st.integers(1, 12))
+def test_property_heap_replays_treeset_topk(sids, data, k):
+    """The heap admits, evicts and orders exactly what the tree set did."""
+    scores = data.draw(st.lists(_SCORE_POOL, min_size=len(sids), max_size=len(sids)))
+    topk = BoundedTopK(k)
+    reference = _TreeSetTopK(k)
+    for sid, score in zip(sids, scores):
+        assert topk.offer(sid, score) == reference.offer(sid, score)
+        assert len(topk) == len(reference.entries)
+        assert topk.threshold() == reference.threshold()
+        for held in sids:
+            assert (held in topk) == (held in reference.entries)
+    assert topk.results_descending() == reference.entries.get_all_descending()
+
+
+class TestBoundedTopKDuplicates:
+    def test_admitting_held_sid_raises_while_filling(self):
+        topk = BoundedTopK(3)
+        topk.offer("a", 1.0)
+        with pytest.raises(KeyError):
+            topk.offer("a", 2.0)
+        assert topk.results_descending() == [("a", 1.0)]
+
+    def test_admitting_held_sid_raises_when_full(self):
+        topk = BoundedTopK(2)
+        topk.offer("a", 1.0)
+        topk.offer("b", 2.0)
+        with pytest.raises(KeyError):
+            topk.offer("b", 3.0)
+        assert topk.results_descending() == [("b", 2.0), ("a", 1.0)]
+
+    def test_rejected_duplicate_is_not_an_error(self):
+        topk = BoundedTopK(1)
+        topk.offer("a", 2.0)
+        assert not topk.offer("a", 1.0)
