@@ -2,12 +2,11 @@
 
 The reproduction leans on invariants that ordinary linters cannot see:
 fault-plan replay requires seeded randomness and simulated time
-(docs/fault_tolerance.md), the concurrency layer requires writes to go
-through :class:`repro.core.concurrent.ReadWriteLock`'s write side, and
-exact top-k semantics forbid float equality on scores.  This package
-checks those invariants mechanically, over the AST, with zero external
-dependencies — the same correctness-tooling posture that lets large
-matching systems stay exact under churn.
+(docs/fault_tolerance.md), and exact top-k semantics forbid float
+equality on scores.  This package checks those invariants mechanically,
+over the AST, with zero external dependencies — the same
+correctness-tooling posture that lets large matching systems stay exact
+under churn.
 
 Layout:
 
@@ -15,9 +14,11 @@ Layout:
 * :mod:`repro.analysis.rules` — the rule base class and registry;
 * :mod:`repro.analysis.pragmas` — ``# fxlint: disable=CODE`` handling;
 * :mod:`repro.analysis.checker` — file walking and rule dispatch;
-* :mod:`repro.analysis.determinism` / :mod:`~repro.analysis.locks` /
-  :mod:`~repro.analysis.hygiene` / :mod:`~repro.analysis.invariants` —
-  the built-in per-file rule families (codes FX1xx–FX4xx);
+* :mod:`repro.analysis.determinism` / :mod:`~repro.analysis.hygiene` /
+  :mod:`~repro.analysis.invariants` — the built-in per-file rule
+  families (codes FX1xx, FX3xx, FX4xx; lock discipline has no rule,
+  because its one subject, ``ThreadSafeMatcher``, is pinned by a direct
+  test in tests/core/test_concurrent.py);
 * :mod:`repro.analysis.projectindex` — the single-parse whole-project
   index (string-literal call sites, class hierarchies, ``__all__``
   exports, a lightweight call graph) behind ``--project`` mode;
@@ -26,9 +27,6 @@ Layout:
   families (FX5xx observability drift, FX6xx cross-layer API
   consistency, FX7xx distributed error-path hygiene);
 * :mod:`repro.analysis.reporters` — human-readable and JSON output;
-* :mod:`repro.analysis.racedetect` — the *runtime* companion: an
-  instrumented ``ReadWriteLock`` asserting reader/writer exclusion and
-  recording lock-order edges under stress tests;
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis`` entry point.
 
 See docs/static_analysis.md for the rule catalogue and pragma syntax.
@@ -45,29 +43,19 @@ from repro.analysis.checker import (
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import PragmaSet
 from repro.analysis.projectindex import ProjectIndex
-from repro.analysis.racedetect import (
-    InstrumentedRWLock,
-    LockOrderCycleError,
-    RaceDetector,
-    instrument_matcher,
-)
 from repro.analysis.rules import ProjectRule, Rule, all_rules, get_rule, register
 
 __all__ = [
     "Finding",
-    "InstrumentedRWLock",
-    "LockOrderCycleError",
     "PragmaSet",
     "ProjectIndex",
     "ProjectRule",
-    "RaceDetector",
     "Rule",
     "all_rules",
     "check_file",
     "check_paths",
     "check_project",
     "get_rule",
-    "instrument_matcher",
     "load_default_rules",
     "register",
 ]

@@ -50,7 +50,6 @@ def load_default_rules() -> List[Rule]:
         disthygiene,
         hygiene,
         invariants,
-        locks,
         obscontracts,
     )
 

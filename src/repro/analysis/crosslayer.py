@@ -1,16 +1,11 @@
 """FX6xx — cross-layer API consistency rules (whole-project).
 
-The request protocol, the matcher interface, and the package surfaces
-each span several modules that must move together:
+The request protocol and the package surfaces each span several
+modules that must move together:
 
 * a :class:`RequestKind` member handled by one controller surface but
   not another is a verb that works locally and 500s distributed — every
   module that dispatches on the enum must cover every member (FX601);
-* a ``TopKMatcher`` subclass that overrides the single-event path but
-  silently inherits a *specialised* ``match_batch`` from an intermediate
-  ancestor couples itself to that ancestor's caching assumptions; the
-  inheritance must be an explicit override, even a delegating one
-  (FX602);
 * a package ``__init__`` re-exporting a name its submodule's
   ``__all__`` does not declare (or importing a public name it then
   leaves out of its own ``__all__``) makes the two advertised surfaces
@@ -26,7 +21,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.projectindex import ClassInfo, ModuleInfo, ProjectIndex
 from repro.analysis.rules import ProjectRule, register
 
-__all__ = ["RequestKindCoverageRule", "BatchOverrideRule", "ReexportDriftRule"]
+__all__ = ["RequestKindCoverageRule", "ReexportDriftRule"]
 
 #: Modules referencing at least this many distinct enum members count as
 #: dispatch surfaces (a module constructing one kind is not a handler).
@@ -75,53 +70,6 @@ class RequestKindCoverageRule(ProjectRule):
     @staticmethod
     def _is_enum(cls: ClassInfo) -> bool:
         return any(base.rpartition(".")[2] == "Enum" for base in cls.bases)
-
-
-@register
-class BatchOverrideRule(ProjectRule):
-    """FX602: batch paths inherited silently from a specialised ancestor."""
-
-    code = "FX602"
-    name = "silent-batch-inheritance"
-    description = "TopKMatcher subclass inherits a specialised match_batch silently"
-
-    #: The interface root whose own fallbacks are fine to inherit.
-    root_class = "TopKMatcher"
-    #: Overriding any of these couples the subclass to the batch path.
-    trigger_methods = ("match", "_match_topk")
-    #: The methods that must then be owned (or explicitly delegated).
-    inherited_methods = ("match_batch",)
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        roots = {cls.qualname for cls in index.classes_named(self.root_class)}
-        if not roots:
-            return
-        for cls in index.subclasses_of(self.root_class):
-            if not any(trigger in cls.methods for trigger in self.trigger_methods):
-                continue
-            ancestors = index.ancestors_of(cls)
-            for method in self.inherited_methods:
-                if method in cls.methods:
-                    continue
-                provider = next(
-                    (
-                        ancestor
-                        for ancestor in ancestors
-                        if method in ancestor.methods
-                        and ancestor.qualname not in roots
-                    ),
-                    None,
-                )
-                if provider is not None:
-                    yield self.project_finding(
-                        cls.path,
-                        cls.node,
-                        f"{cls.name} overrides "
-                        f"{'/'.join(t for t in self.trigger_methods if t in cls.methods)} "
-                        f"but silently inherits {provider.name}.{method}; "
-                        "override it explicitly (delegation is fine) so the "
-                        "coupling is deliberate",
-                    )
 
 
 @register

@@ -389,24 +389,6 @@ class ProjectIndex:
                     frontier.append(resolved)
         return out
 
-    def subclasses_of(self, root_name: str) -> List[ClassInfo]:
-        """Every class transitively derived from a class named ``root_name``."""
-        roots = {cls.qualname for cls in self.classes_named(root_name)}
-        if not roots:
-            return []
-        out = []
-        for path in sorted(self.modules):
-            for cls in self.modules[path].classes.values():
-                if cls.name == root_name:
-                    continue
-                ancestors = {a.qualname for a in self.ancestors_of(cls)}
-                # Unresolvable direct base with the right tail still counts
-                # (e.g. the root lives outside the analyzed tree).
-                direct = {base.rpartition(".")[2] for base in cls.bases}
-                if ancestors & roots or root_name in direct:
-                    out.append(cls)
-        return sorted(out, key=lambda c: c.qualname)
-
     def module_constant_dict(
         self, constant: str
     ) -> Optional[Tuple[ModuleInfo, ast.Dict]]:

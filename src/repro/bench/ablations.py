@@ -118,7 +118,7 @@ class FXTMFullSortMatcher(FXTMMatcher):
         k: int,
         probe_cache: Optional[ProbeCache] = None,
     ) -> List[List[MatchResult]]:
-        """Per-event loop so batches measure the full-sort phase (FX602).
+        """Per-event loop so batched runs measure the full sort, not BoundedTopK.
 
         FX-TM's inherited batch path selects with BoundedTopK via
         ``_select_topk`` — exactly the machinery this ablation exists to

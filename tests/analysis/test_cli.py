@@ -59,7 +59,7 @@ def test_ignore_drops_rules():
 def test_list_rules():
     code, output = run("--list-rules")
     assert code == EXIT_CLEAN
-    for expected in ("FX101", "FX201", "FX301", "FX401"):
+    for expected in ("FX101", "FX301", "FX401", "FX601"):
         assert expected in output
 
 

@@ -9,7 +9,6 @@ import textwrap
 
 from repro.analysis.checker import check_project
 from repro.analysis.crosslayer import (
-    BatchOverrideRule,
     ReexportDriftRule,
     RequestKindCoverageRule,
 )
@@ -342,71 +341,6 @@ class TestFX601RequestKindCoverage:
                 """,
             },
         )
-        assert findings == []
-
-
-MATCHER_BASE = {
-    "repro/core/interfaces.py": """
-    class TopKMatcher:
-        def match(self, event, k):
-            raise NotImplementedError
-
-        def match_batch(self, events, k):
-            return [self.match(e, k) for e in events]
-    """,
-    "repro/core/matcher.py": """
-    from repro.core.interfaces import TopKMatcher
-
-    class FXTMMatcher(TopKMatcher):
-        def _match_topk(self, event, k):
-            return []
-
-        def match_batch(self, events, k):
-            return []
-    """,
-}
-
-
-class TestFX602BatchOverride:
-    def test_silent_inheritance_flagged(self, tmp_path):
-        files = dict(MATCHER_BASE)
-        files["repro/core/variant.py"] = """
-        from repro.core.matcher import FXTMMatcher
-
-        class Variant(FXTMMatcher):
-            def _match_topk(self, event, k):
-                return []
-        """
-        findings = analyze(tmp_path, BatchOverrideRule(), files)
-        (finding,) = findings
-        assert finding.code == "FX602"
-        assert "FXTMMatcher.match_batch" in finding.message
-
-    def test_explicit_override_clean(self, tmp_path):
-        files = dict(MATCHER_BASE)
-        files["repro/core/variant.py"] = """
-        from repro.core.matcher import FXTMMatcher
-
-        class Variant(FXTMMatcher):
-            def _match_topk(self, event, k):
-                return []
-
-            def match_batch(self, events, k):
-                return super().match_batch(events, k)
-        """
-        findings = analyze(tmp_path, BatchOverrideRule(), files)
-        assert findings == []
-
-    def test_inheriting_only_the_root_fallback_is_fine(self, tmp_path):
-        files = dict(MATCHER_BASE)
-        files["repro/core/direct.py"] = """
-        from repro.core.interfaces import TopKMatcher
-
-        class Direct(TopKMatcher):
-            def match(self, event, k):
-                return []
-        """
-        findings = analyze(tmp_path, BatchOverrideRule(), files)
         assert findings == []
 
 

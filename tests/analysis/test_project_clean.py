@@ -46,8 +46,6 @@ def test_contract_rules_actually_ran(project_result):
     assert index.module_constant_dict("PHASE_OF_FRAME") is not None
     spans = [c for c in index.iter_string_calls(["span"]) if "tracer" in (c.receiver or "")]
     assert len(spans) >= 5
-    # The matcher hierarchy is indexed deep enough for FX602.
-    assert len(index.subclasses_of("TopKMatcher")) >= 3
     # The reference tree fed FX504.
     assert index.reference_files > 50
     assert "leaf.alive" in index.reference_literals

@@ -166,11 +166,6 @@ class TestHierarchyQueries:
         names = [cls.name for cls in index.ancestors_of(variant)]
         assert names == ["FXTMMatcher", "TopKMatcher"]
 
-    def test_subclasses_of_root(self):
-        index = self.build()
-        names = [cls.name for cls in index.subclasses_of("TopKMatcher")]
-        assert names == ["FXTMMatcher", "Variant"]
-
     def test_resolve_class_unique_basename_fallback(self):
         index = self.build()
         assert index.resolve_class("Variant").qualname == "repro.core.variant.Variant"

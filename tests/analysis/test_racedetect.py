@@ -1,16 +1,16 @@
-"""RaceDetector / InstrumentedRWLock unit behaviour."""
+"""RaceDetector / InstrumentedRWLock (tests/racedetect.py) unit behaviour."""
 
 import pytest
 
-from repro.analysis import (
+from repro.core.concurrent import ThreadSafeMatcher
+from repro.core.matcher import FXTMMatcher
+from tests.racedetect import (
     InstrumentedRWLock,
     LockOrderCycleError,
     RaceDetector,
+    RaceViolationError,
     instrument_matcher,
 )
-from repro.analysis.racedetect import RaceViolationError
-from repro.core.concurrent import ThreadSafeMatcher
-from repro.core.matcher import FXTMMatcher
 
 
 def test_instrumented_lock_counts_acquisitions():

@@ -35,7 +35,6 @@ def actual_findings(path):
     "fixture",
     [
         "repro/distributed/bad_determinism.py",
-        "bad_locks.py",
         "bad_hygiene.py",
         "bad_invariants.py",
     ],
@@ -70,6 +69,6 @@ def test_syntax_error_reports_fx001(tmp_path):
 
 
 def test_findings_are_sorted_by_location():
-    findings = check_file(str(FIXTURES / "bad_locks.py"))
+    findings = check_file(str(FIXTURES / "bad_hygiene.py"))
     keys = [finding.sort_key() for finding in findings]
     assert keys == sorted(keys)

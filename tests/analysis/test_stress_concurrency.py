@@ -8,15 +8,17 @@ writer starved behind the read stream (the writer-preference property
 of :class:`repro.core.concurrent.ReadWriteLock`).
 """
 
+import itertools
 import random
 import threading
 
-from repro.analysis import RaceDetector, instrument_matcher
 from repro.core.budget import BudgetTracker, LogicalClock
 from repro.core.concurrent import ThreadSafeMatcher
+from repro.core.interfaces import MatcherProxy
 from repro.core.matcher import FXTMMatcher
 from repro.core.subscriptions import Subscription
 from tests.helpers import random_event, random_subscriptions
+from tests.racedetect import RaceDetector, instrument_matcher
 
 READERS = 4
 WRITERS = 2
@@ -26,7 +28,30 @@ CHURNS_PER_WRITER = 50
 STARVATION_BOUND_SECONDS = 10.0
 
 
-def _stress(matcher, detector):
+class ReadersMeet(MatcherProxy):
+    """Holds the first two matches until both are inside the read side.
+
+    Readers otherwise overlap only when the GIL happens to switch inside
+    a short match.  Once both have arrived, :attr:`met` is set; writers
+    wait for it, since a waiting writer blocks new readers and the
+    second reader could never arrive.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.met = threading.Event()
+        self._barrier = threading.Barrier(
+            2, action=self.met.set, timeout=STARVATION_BOUND_SECONDS
+        )
+        self._arrivals = itertools.count()
+
+    def match(self, event, k, *, cost=1.0):
+        if next(self._arrivals) < 2:
+            self._barrier.wait()
+        return super().match(event, k, cost=cost)
+
+
+def _stress(matcher, detector, writers_wait_for=None):
     errors = []
     barrier = threading.Barrier(READERS + WRITERS)
 
@@ -43,6 +68,8 @@ def _stress(matcher, detector):
         rng = random.Random(f"{seed}:writer")
         barrier.wait()
         try:
+            if writers_wait_for is not None:
+                assert writers_wait_for.wait(STARVATION_BOUND_SECONDS)
             for index in range(CHURNS_PER_WRITER):
                 template = random_subscriptions(rng, 1)[0]
                 # Integer sids, disjoint from the preloaded 0..199 range
@@ -62,7 +89,8 @@ def _stress(matcher, detector):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=STARVATION_BOUND_SECONDS * 3)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
 
 
@@ -105,21 +133,23 @@ def test_budgeted_matcher_degrades_to_exclusive_matching():
 
 
 def test_flat_stab_rebuild_is_clean_under_read_lock():
-    # The lazy flat-view rebuild in IntervalTree.stab runs under the
-    # wrapper's *read* lock. Writers churn subscriptions (advancing tree
-    # epochs) so that, after each mutation, the racing readers' first
-    # stabs rebuild the view concurrently. The atomically published
-    # (epoch, ordered, block_max) tuple must keep every reader
+    # The lazy flat-view build in IntervalTree.stab runs under the
+    # wrapper's *read* lock. The first two matches meet inside the read
+    # side, so their first stabs build the views of the bulk-loaded
+    # trees concurrently; writers then churn subscriptions, patching
+    # (or, past the patch limit, staling) the views. The atomically
+    # published (epoch, ordered, block_max) tuple must keep every reader
     # consistent; the detector confirms the lock discipline held while
-    # the rebuilds happened on the read side.
+    # the builds happened on the read side.
     rng = random.Random("flat-stab-stress")
-    matcher = ThreadSafeMatcher(FXTMMatcher())
+    inner = ReadersMeet(FXTMMatcher())
+    matcher = ThreadSafeMatcher(inner)
     for sub in random_subscriptions(rng, 300):
         matcher.add_subscription(sub)
     detector = RaceDetector()
     instrument_matcher(matcher, detector, name="flatstab")
 
-    _stress(matcher, detector)
+    _stress(matcher, detector, writers_wait_for=inner.met)
 
     detector.assert_clean(max_writer_wait_seconds=STARVATION_BOUND_SECONDS)
     reads, _writes = detector.acquisitions["flatstab"]

@@ -11,6 +11,7 @@ from repro.core.attributes import Interval
 from repro.core.concurrent import ReadWriteLock, ThreadSafeMatcher
 from repro.core.budget import BudgetTracker
 from repro.core.events import Event
+from repro.core.interfaces import MatcherProxy
 from repro.core.matcher import FXTMMatcher
 from repro.core.subscriptions import Constraint, Subscription
 
@@ -244,3 +245,136 @@ class TestThreadSafeMatcher:
             thread.join()
         assert not errors
         assert len(safe) == 90
+
+
+class RecordingLock(ReadWriteLock):
+    """Stands in for a ``ThreadSafeMatcher``'s lock in a single thread.
+
+    Records which side is held, and raises on any nested acquisition: a
+    read-to-write upgrade (or a re-entrant read behind a waiting writer)
+    deadlocks the real writer-preferring lock, so here it fails at once.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.held = None
+
+    def _acquire(self, side):
+        if self.held is not None:
+            raise AssertionError(f"{side} lock acquired while {self.held} is held")
+        self.held = side
+
+    def acquire_read(self):
+        self._acquire("read")
+
+    def acquire_write(self):
+        self._acquire("write")
+
+    def release_read(self):
+        assert self.held == "read", self.held
+        self.held = None
+
+    def release_write(self):
+        assert self.held == "write", self.held
+        self.held = None
+
+
+class SideRecorder(MatcherProxy):
+    """The inner matcher, noting the lock side held as each member runs."""
+
+    def __init__(self, inner, lock):
+        super().__init__(inner)
+        self.lock = lock
+        self.calls = []
+
+    def _note(self, member):
+        self.calls.append((member, self.lock.held))
+
+    def add_subscription(self, subscription):
+        self._note("add_subscription")
+        super().add_subscription(subscription)
+
+    def cancel_subscription(self, sid):
+        self._note("cancel_subscription")
+        return super().cancel_subscription(sid)
+
+    def update_subscription(self, subscription):
+        self._note("update_subscription")
+        return super().update_subscription(subscription)
+
+    def match(self, event, k, *, cost=1.0):
+        self._note("match")
+        return super().match(event, k, cost=cost)
+
+    def match_batch(self, events, k, probe_cache=None):
+        self._note("match_batch")
+        return super().match_batch(events, k, probe_cache)
+
+    def get_subscription(self, sid):
+        self._note("get_subscription")
+        return super().get_subscription(sid)
+
+    def budget_multiplier(self, sid):
+        self._note("budget_multiplier")
+        return super().budget_multiplier(sid)
+
+    def __len__(self):
+        self._note("__len__")
+        return super().__len__()
+
+    def __contains__(self, sid):
+        self._note("__contains__")
+        return super().__contains__(sid)
+
+    @property
+    def subscriptions(self):
+        self._note("subscriptions")
+        return super().subscriptions
+
+
+_SUB = Subscription("s", [Constraint("a", Interval(0, 10), 1.0)])
+
+#: member -> (how to call it, side without a budget, side with one).
+LOCK_SIDES = {
+    "add_subscription": (
+        lambda m: m.add_subscription(Subscription("t", [Constraint("a", Interval(0, 5))])),
+        "write",
+        "write",
+    ),
+    "cancel_subscription": (lambda m: m.cancel_subscription("s"), "write", "write"),
+    "update_subscription": (lambda m: m.update_subscription(_SUB), "write", "write"),
+    "match": (lambda m: m.match(Event({"a": 5}), 1), "read", "write"),
+    "match_batch": (lambda m: m.match_batch([Event({"a": 5})], 1), "read", "write"),
+    "get_subscription": (lambda m: m.get_subscription("s"), "read", "read"),
+    "budget_multiplier": (lambda m: m.budget_multiplier("s"), "read", "read"),
+    "__len__": (len, "read", "read"),
+    "__contains__": (lambda m: "s" in m, "read", "read"),
+    "subscriptions": (lambda m: m.subscriptions, "read", "read"),
+}
+
+
+class TestLockSides:
+    """Which side of the lock each ThreadSafeMatcher member holds while
+    it calls into the inner matcher."""
+
+    def test_table_covers_every_locking_member(self):
+        own = {
+            name
+            for name, member in vars(ThreadSafeMatcher).items()
+            if callable(member) or isinstance(member, property)
+        }
+        assert own - {"__init__"} == set(LOCK_SIDES)
+
+    @pytest.mark.parametrize("budgeted", [False, True], ids=["plain", "budgeted"])
+    @pytest.mark.parametrize("member", sorted(LOCK_SIDES))
+    def test_member_takes_its_side(self, member, budgeted):
+        call, plain_side, budgeted_side = LOCK_SIDES[member]
+        engine = FXTMMatcher(budget_tracker=BudgetTracker() if budgeted else None)
+        engine.add_subscription(_SUB)
+        lock = RecordingLock()
+        recorder = SideRecorder(engine, lock)
+        safe = ThreadSafeMatcher(recorder)
+        safe._lock = lock
+        call(safe)
+        assert recorder.calls == [(member, budgeted_side if budgeted else plain_side)]
+        assert lock.held is None
