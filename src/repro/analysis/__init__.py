@@ -23,9 +23,12 @@ Layout:
   index (string-literal call sites, class hierarchies, ``__all__``
   exports, a lightweight call graph) behind ``--project`` mode;
 * :mod:`repro.analysis.obscontracts` / :mod:`~repro.analysis.crosslayer`
-  / :mod:`~repro.analysis.disthygiene` — the cross-module contract rule
-  families (FX5xx observability drift, FX6xx cross-layer API
-  consistency, FX7xx distributed error-path hygiene);
+  / :mod:`~repro.analysis.disthygiene` — the cross-module contract
+  rules (FX504 unasserted log events, FX603 re-export drift, FX7xx
+  distributed error-path hygiene).  Span names, heat mirrors, metric
+  label sets and request-kind coverage have no rule: the
+  ``SPAN_NAMES`` declaration, the metrics registry and direct tests
+  check them on a running system;
 * :mod:`repro.analysis.reporters` — human-readable and JSON output;
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis`` entry point.
 

@@ -11,9 +11,9 @@ rest of the tree.
 plus a :class:`~repro.analysis.projectindex.ProjectIndex` built from the
 very same parsed trees (each source file is parsed exactly once — the
 acceptance criterion pinned by tests/analysis/test_projectindex.py),
-over which the cross-module contract rules (FX5xx–FX7xx) run.  Project
-findings anchor in whichever module carries the drift and respect that
-module's pragmas.
+over which the cross-module contract rules (FX504, FX603, FX7xx) run.
+Project findings anchor in whichever module carries the drift and
+respect that module's pragmas.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ Exit-code contract (stable; CI and pre-commit hooks rely on it):
   baseline file, …).
 
 ``--project`` switches on whole-project mode: in addition to the
-per-file rules, the cross-module contract rules (FX5xx–FX7xx) run over
-a single-parse :class:`~repro.analysis.projectindex.ProjectIndex` of
-every given path (default ``src`` when none are given), with
+per-file rules, the cross-module contract rules (FX504, FX603, FX7xx)
+run over a single-parse :class:`~repro.analysis.projectindex.ProjectIndex`
+of every given path (default ``src`` when none are given), with
 ``--tests-root`` (default ``tests``) indexed as the reference tree for
 assertion cross-checks.  ``--baseline report.json`` suppresses findings
 already present in a previous JSON report, so CI can ratchet: exit 0
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "whole-project mode: build the cross-module index and run the "
-            "FX5xx-FX7xx contract rules too (paths default to 'src')"
+            "FX504/FX603/FX7xx contract rules too (paths default to 'src')"
         ),
     )
     parser.add_argument(

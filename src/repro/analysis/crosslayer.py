@@ -1,75 +1,24 @@
-"""FX6xx — cross-layer API consistency rules (whole-project).
+"""FX603 — package re-export consistency (whole-project).
 
-The request protocol and the package surfaces each span several
-modules that must move together:
+A package ``__init__`` re-exporting a name its submodule's ``__all__``
+does not declare (or importing a public name it then leaves out of its
+own ``__all__``) makes the two advertised surfaces disagree.
 
-* a :class:`RequestKind` member handled by one controller surface but
-  not another is a verb that works locally and 500s distributed — every
-  module that dispatches on the enum must cover every member (FX601);
-* a package ``__init__`` re-exporting a name its submodule's
-  ``__all__`` does not declare (or importing a public name it then
-  leaves out of its own ``__all__``) makes the two advertised surfaces
-  disagree (FX603).
+Request-kind coverage across the serving fronts is checked at runtime:
+tests/test_request_kinds.py runs every ``RequestKind`` through both
+controllers and the CLI.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.projectindex import ClassInfo, ModuleInfo, ProjectIndex
+from repro.analysis.projectindex import ModuleInfo, ProjectIndex
 from repro.analysis.rules import ProjectRule, register
 
-__all__ = ["RequestKindCoverageRule", "ReexportDriftRule"]
-
-#: Modules referencing at least this many distinct enum members count as
-#: dispatch surfaces (a module constructing one kind is not a handler).
-_SURFACE_THRESHOLD = 2
-
-
-@register
-class RequestKindCoverageRule(ProjectRule):
-    """FX601: request kinds missing from a dispatch surface."""
-
-    code = "FX601"
-    name = "request-kind-coverage"
-    description = "RequestKind member unhandled in a controller/CLI surface"
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        for enum_cls in index.classes_named("RequestKind"):
-            if not self._is_enum(enum_cls):
-                continue
-            members = [
-                name for name, _ in enum_cls.assigned if not name.startswith("_")
-            ]
-            if not members:
-                continue
-            prefix = f"{enum_cls.qualname}."
-            for path in sorted(index.modules):
-                info = index.modules[path]
-                seen: Dict[str, ast.AST] = {}
-                for resolved, node in info.attr_refs:
-                    if resolved.startswith(prefix):
-                        member = resolved[len(prefix) :]
-                        if member in members:
-                            seen.setdefault(member, node)
-                if path == enum_cls.path or len(seen) < _SURFACE_THRESHOLD:
-                    continue
-                anchor = min(seen.values(), key=lambda n: getattr(n, "lineno", 1))
-                for member in members:
-                    if member not in seen:
-                        yield self.project_finding(
-                            path,
-                            anchor,
-                            f"dispatches on {enum_cls.name} but never handles "
-                            f"{enum_cls.name}.{member}; every surface must "
-                            "cover every request kind",
-                        )
-
-    @staticmethod
-    def _is_enum(cls: ClassInfo) -> bool:
-        return any(base.rpartition(".")[2] == "Enum" for base in cls.bases)
+__all__ = ["ReexportDriftRule"]
 
 
 @register

@@ -1,369 +1,30 @@
-"""FX5xx — observability-contract drift rules (whole-project).
+"""FX504 — structured-log events no test asserts (whole-project).
 
-The observability stack (docs/observability.md, docs/profiling.md) is
-glued to the engines by string contracts:
+A structured-log event nobody asserts is an event free to drift or
+vanish, so each emitted event name must appear in some test.  The rule
+is a :class:`~repro.analysis.rules.ProjectRule` fed by the
+:class:`~repro.analysis.projectindex.ProjectIndex`; it never re-reads or
+re-parses source.
 
-* every ``tracer.span("name")`` must be a phase the sampling profiler
-  can attribute (``PHASE_OF_FRAME`` values in ``obs/profile.py``), or
-  traced and sampled profiles stop lining up (FX501);
-* every ``HeatMonitor.record_*`` must mirror into a ``repro_heat_*``
-  registry counter so the in-memory profile and the scrape surface
-  reconcile exactly — the PR 8 acceptance criterion (FX502);
-* a metric family's label set is pinned at its declaration; an emit
-  site with different label keys raises at runtime on exactly the code
-  path that was supposed to be observable (FX503);
-* a structured-log event nobody asserts is an event free to drift or
-  vanish — each emitted event name must appear in some test (FX504).
-
-All four are :class:`~repro.analysis.rules.ProjectRule` subclasses fed
-by the :class:`~repro.analysis.projectindex.ProjectIndex`; none re-read
-or re-parse source.
+The rest of the observability vocabulary is checked at runtime rather
+than here: span names against :data:`repro.obs.tracing.SPAN_NAMES`
+(tests/obs/test_tracing.py), heat counters against their
+``repro_heat_*`` mirrors (tests/obs/test_heat.py), and metric label
+sets by :class:`~repro.obs.metrics.MetricsRegistry` itself.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator
 
-from repro.analysis.astutil import dotted_name
 from repro.analysis.findings import Finding
 from repro.analysis.projectindex import ProjectIndex, StringCall
 from repro.analysis.rules import ProjectRule, register
 
-__all__ = [
-    "SpanVocabularyRule",
-    "HeatMirrorRule",
-    "MetricLabelRule",
-    "LogEventAssertedRule",
-]
-
-#: The module-level table mapping sampled frames to pipeline phases.
-_PHASE_TABLE = "PHASE_OF_FRAME"
-
-#: MetricsRegistry family constructors (first arg = metric name).
-_FAMILY_METHODS = ("counter", "gauge", "histogram")
+__all__ = ["LogEventAssertedRule"]
 
 #: StructuredLogger emit methods carrying an event name first.
 _LOG_METHODS = ("log", "debug", "info", "warning", "error")
-
-
-@register
-class SpanVocabularyRule(ProjectRule):
-    """FX501: span names the sampling profiler cannot attribute."""
-
-    code = "FX501"
-    name = "span-vocabulary-drift"
-    description = "tracer.span(...) name absent from PHASE_OF_FRAME (project mode)"
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        table = index.module_constant_dict(_PHASE_TABLE)
-        if table is None:
-            return
-        _, node = table
-        phases = {
-            value.value
-            for value in node.values
-            if isinstance(value, ast.Constant) and isinstance(value.value, str)
-        }
-        for call in index.iter_string_calls(["span"]):
-            receiver = (call.receiver or "").lower()
-            if "tracer" not in receiver:
-                continue
-            if call.value not in phases:
-                yield self.project_finding(
-                    call.path,
-                    call.node,
-                    f"span name {call.value!r} is not a {_PHASE_TABLE} phase; "
-                    "sampled profiles cannot attribute it (add the frame "
-                    "mapping in obs/profile.py or rename the span)",
-                )
-
-
-@register
-class HeatMirrorRule(ProjectRule):
-    """FX502: heat recorders whose registry mirror is missing."""
-
-    code = "FX502"
-    name = "heat-mirror-drift"
-    description = "HeatMonitor.record_* without a repro_heat_* mirror counter"
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        for cls in index.classes_named("HeatMonitor"):
-            init = cls.methods.get("__init__")
-            if init is None:
-                continue
-            mirrors = self._mirror_declarations(init)
-            if not mirrors:
-                # Not a registry-mirrored monitor; the contract is vacuous.
-                continue
-            for attr, (metric, node) in sorted(mirrors.items()):
-                if not metric.startswith("repro_heat_"):
-                    yield self.project_finding(
-                        cls.path,
-                        node,
-                        f"mirror counter self.{attr} declares metric "
-                        f"{metric!r}; heat mirrors must use the "
-                        "repro_heat_* namespace",
-                    )
-            for method_name, method in sorted(cls.methods.items()):
-                if not method_name.startswith("record_"):
-                    continue
-                if not self._touches_mirror(method):
-                    yield self.project_finding(
-                        cls.path,
-                        method,
-                        f"{cls.name}.{method_name} updates in-memory heat "
-                        "without touching any repro_heat_* mirror counter; "
-                        "snapshot and scrape surfaces will disagree",
-                    )
-
-    @staticmethod
-    def _mirror_declarations(
-        init: ast.AST,
-    ) -> Dict[str, Tuple[str, ast.AST]]:
-        """``self._m_x = registry.counter("name", ...)`` assignments."""
-        mirrors: Dict[str, Tuple[str, ast.AST]] = {}
-        for node in ast.walk(init):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and target.attr.startswith("_m_")
-            ):
-                continue
-            value = node.value
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr in _FAMILY_METHODS
-                and value.args
-                and isinstance(value.args[0], ast.Constant)
-                and isinstance(value.args[0].value, str)
-            ):
-                mirrors[target.attr] = (value.args[0].value, node)
-        return mirrors
-
-    @staticmethod
-    def _touches_mirror(method: ast.AST) -> bool:
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr.startswith("_m_")
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                return True
-        return False
-
-
-@register
-class MetricLabelRule(ProjectRule):
-    """FX503: emit sites whose labels diverge from the declaration."""
-
-    code = "FX503"
-    name = "metric-label-drift"
-    description = "metric emitted with labels differing from its declaration"
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        #: metric name -> (label tuple, path, node) of first declaration.
-        declared_names: Dict[str, Tuple[Tuple[str, ...], str, ast.AST]] = {}
-        for path in sorted(index.modules):
-            info = index.modules[path]
-            bindings = self._declarations(info.context.tree)
-            for target, (metric, labels, node) in sorted(bindings.items()):
-                if labels is None:
-                    continue
-                previous = declared_names.get(metric)
-                if previous is None:
-                    declared_names[metric] = (labels, path, node)
-                elif previous[0] != labels:
-                    yield self.project_finding(
-                        path,
-                        node,
-                        f"metric {metric!r} declared with labels "
-                        f"{labels!r} here but {previous[0]!r} in "
-                        f"{previous[1]} — one scrape name, two shapes",
-                    )
-            yield from self._check_emit_sites(path, info.context.tree, bindings)
-
-    def _check_emit_sites(
-        self,
-        path: str,
-        tree: ast.Module,
-        bindings: Dict[str, Tuple[str, Optional[Tuple[str, ...]], ast.AST]],
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "labels"
-            ):
-                continue
-            receiver = dotted_name(node.func.value)
-            if receiver is None or receiver not in bindings:
-                continue
-            metric, declared, _ = bindings[receiver]
-            if declared is None:
-                continue
-            explicit = {kw.arg for kw in node.keywords if kw.arg is not None}
-            has_splat = any(kw.arg is None for kw in node.keywords)
-            unknown = sorted(explicit - set(declared))
-            if unknown:
-                yield self.project_finding(
-                    path,
-                    node,
-                    f"metric {metric!r} emitted with label(s) "
-                    f"{', '.join(unknown)} not in its declared set "
-                    f"{declared!r}",
-                )
-            elif not has_splat and explicit != set(declared):
-                missing = sorted(set(declared) - explicit)
-                yield self.project_finding(
-                    path,
-                    node,
-                    f"metric {metric!r} emitted without declared label(s) "
-                    f"{', '.join(missing)} (declared set {declared!r})",
-                )
-
-    def _declarations(
-        self, tree: ast.Module
-    ) -> Dict[str, Tuple[str, Optional[Tuple[str, ...]], ast.AST]]:
-        """``target -> (metric name, label tuple or None, node)``.
-
-        A ``None`` label tuple means the declaration's labels argument
-        was not statically foldable — emit sites against it are skipped
-        rather than guessed at.
-        """
-        out: Dict[str, Tuple[str, Optional[Tuple[str, ...]], ast.AST]] = {}
-        for scope_node, env in self._scopes(tree):
-            for node in self._scope_statements(scope_node):
-                if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                    continue
-                target = dotted_name(node.targets[0])
-                if target is None:
-                    continue
-                family = self._family_call(node.value)
-                if family is None:
-                    continue
-                metric = family.args[0]
-                assert isinstance(metric, ast.Constant)
-                labels_expr = self._labels_argument(family)
-                labels = (
-                    self._fold_tuple(labels_expr, env)
-                    if labels_expr is not None
-                    else ()
-                )
-                # Bind the variable only when the family call is the
-                # whole right-hand side; `registry.counter(...).labels(...)`
-                # assigns a pre-bound instrument, not the family.
-                if node.value is family:
-                    out[target] = (metric.value, labels, node)
-                elif labels is not None:
-                    out.setdefault(
-                        f"<chained>{metric.value}", (metric.value, labels, node)
-                    )
-        return out
-
-    @staticmethod
-    def _scopes(tree: ast.Module) -> List[Tuple[ast.AST, Dict[str, Tuple[str, ...]]]]:
-        """Each function scope (plus module scope) with its constant env.
-
-        The env maps local names to foldable tuples of strings, so
-        ``base = ("algorithm", "backend")`` then ``labels=("op",) + base``
-        resolves exactly.  Function scopes come after the module scope,
-        so a declaration seen under both envs keeps the better fold.
-        """
-        nodes: List[Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef]] = [tree]
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nodes.append(node)
-        scopes: List[Tuple[ast.AST, Dict[str, Tuple[str, ...]]]] = []
-        for scope in nodes:
-            env: Dict[str, Tuple[str, ...]] = {}
-            for stmt in MetricLabelRule._scope_statements(scope):
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    if isinstance(target, ast.Name):
-                        folded = MetricLabelRule._fold_tuple(stmt.value, env)
-                        if folded is not None:
-                            env[target.id] = folded
-            scopes.append((scope, env))
-        return scopes
-
-    @staticmethod
-    def _scope_statements(scope: ast.AST) -> Iterator[ast.stmt]:
-        """Statements of one scope, recursing into compound statements
-        (``if``/``for``/``with``/``try``) but not into nested function or
-        class bodies — those are their own scopes."""
-        body = getattr(scope, "body", [])
-        stack: List[ast.stmt] = list(body)
-        while stack:
-            stmt = stack.pop(0)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            yield stmt
-            for field in ("body", "orelse", "finalbody", "handlers"):
-                children = getattr(stmt, field, None)
-                if children:
-                    for child in children:
-                        if isinstance(child, ast.ExceptHandler):
-                            stack.extend(child.body)
-                        else:
-                            stack.append(child)
-
-    @staticmethod
-    def _family_call(value: ast.AST) -> Optional[ast.Call]:
-        """The ``registry.counter/gauge/histogram("name", …)`` call in
-        ``value``, unwrapping one trailing ``.labels(...)`` chain."""
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "labels"
-        ):
-            value = value.func.value
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr in _FAMILY_METHODS
-            and value.args
-            and isinstance(value.args[0], ast.Constant)
-            and isinstance(value.args[0].value, str)
-        ):
-            return None
-        return value
-
-    @staticmethod
-    def _labels_argument(family: ast.Call) -> Optional[ast.expr]:
-        for kw in family.keywords:
-            if kw.arg == "labels":
-                return kw.value
-        if len(family.args) >= 3:
-            return family.args[2]
-        return None
-
-    @staticmethod
-    def _fold_tuple(
-        expr: ast.AST, env: Dict[str, Tuple[str, ...]]
-    ) -> Optional[Tuple[str, ...]]:
-        if isinstance(expr, (ast.Tuple, ast.List)):
-            items: List[str] = []
-            for element in expr.elts:
-                if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                    items.append(element.value)
-                else:
-                    return None
-            return tuple(items)
-        if isinstance(expr, ast.Name):
-            return env.get(expr.id)
-        if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-            left = MetricLabelRule._fold_tuple(expr.left, env)
-            right = MetricLabelRule._fold_tuple(expr.right, env)
-            if left is not None and right is not None:
-                return left + right
-        return None
 
 
 @register

@@ -1,29 +1,28 @@
 """The whole-project index behind fxlint's cross-module contract rules.
 
 Per-file rules (FX1xx–FX4xx) see one module at a time, so drift between
-modules — a span name emitted in ``core/matcher.py`` but missing from
-``obs/profile.py``'s ``PHASE_OF_FRAME``, a request kind handled in one
-controller but not the other — is invisible to them.  The
-:class:`ProjectIndex` closes that gap: the checker parses every module
-of the analyzed tree exactly once (the parse count is tracked and
-pinned by test) and folds each parsed module into a queryable index of
+modules — a log event emitted in ``distributed/health.py`` that no test
+asserts, a re-export its submodule does not declare — is invisible to
+them.  The :class:`ProjectIndex` closes that gap: the checker parses
+every module of the analyzed tree exactly once (the parse count is
+tracked and pinned by test) and folds each parsed module into a
+queryable index of
 
 * **string-literal call arguments** (:class:`StringCall`) — span names,
   metric names, log event names, anything passed as a first-argument
   string literal to a method call;
 * **class hierarchies** (:class:`ClassInfo`) — resolved base-class
-  names, methods, and class-body assignments (enum members);
+  names and methods;
 * **``__all__`` exports and ``from … import``** records per module;
 * a **lightweight call graph** (:class:`FunctionInfo`) — per-function
   call sites with their dotted callee text, resolvable across
   ``self.``-method and module-local edges;
-* **resolved attribute references** — ``RequestKind.ADD`` normalised
-  through import aliases to its defining module;
 * **reference literals** — every string literal under the test tree, so
   rules can ask "is this event name ever asserted anywhere?".
 
-Project rules (FX5xx–FX7xx in :mod:`~repro.analysis.obscontracts`,
-:mod:`~repro.analysis.crosslayer`, :mod:`~repro.analysis.disthygiene`)
+Project rules (FX504, FX603 and FX7xx in
+:mod:`~repro.analysis.obscontracts`, :mod:`~repro.analysis.crosslayer`
+and :mod:`~repro.analysis.disthygiene`)
 subclass :class:`~repro.analysis.rules.ProjectRule` and receive this
 index; they never re-parse or re-read source themselves.
 """
@@ -91,9 +90,9 @@ class StringCall:
 
 
 class ClassInfo:
-    """One class definition with resolved bases and member tables."""
+    """One class definition with resolved bases and its methods."""
 
-    __slots__ = ("path", "modname", "name", "qualname", "node", "bases", "methods", "assigned")
+    __slots__ = ("path", "modname", "name", "qualname", "node", "bases", "methods")
 
     def __init__(
         self,
@@ -103,7 +102,6 @@ class ClassInfo:
         node: ast.ClassDef,
         bases: List[str],
         methods: Dict[str, FunctionNode],
-        assigned: List[Tuple[str, ast.stmt]],
     ) -> None:
         self.path = path
         self.modname = modname
@@ -114,8 +112,6 @@ class ClassInfo:
         #: Base-class names resolved through import aliases where possible.
         self.bases = bases
         self.methods = methods
-        #: Simple class-body assignments (enum members, class attributes).
-        self.assigned = assigned
 
 
 class FunctionInfo:
@@ -174,7 +170,6 @@ class ModuleInfo:
         "classes",
         "functions",
         "string_calls",
-        "attr_refs",
         "import_froms",
     )
 
@@ -187,9 +182,6 @@ class ModuleInfo:
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.string_calls: List[StringCall] = []
-        #: Attribute chains resolved through aliases, with their nodes
-        #: (``repro.core.controller.RequestKind.ADD`` …).
-        self.attr_refs: List[Tuple[str, ast.Attribute]] = []
         #: ``(resolved module, name, node)`` per ``from M import name``.
         self.import_froms: List[Tuple[str, str, ast.ImportFrom]] = []
 
@@ -255,10 +247,6 @@ class ProjectIndex:
                 self._extract_class(info, node)
             elif isinstance(node, ast.Call):
                 self._extract_call(info, node)
-            elif isinstance(node, ast.Attribute):
-                dotted = dotted_name(node)
-                if dotted is not None:
-                    info.attr_refs.append((info.resolve(dotted), node))
             elif isinstance(node, ast.ImportFrom):
                 self._extract_import_from(info, node)
         self._extract_functions(info)
@@ -283,18 +271,10 @@ class ProjectIndex:
             dotted = dotted_name(base)
             if dotted is not None:
                 bases.append(info.resolve(dotted))
-        methods: Dict[str, FunctionNode] = {}
-        assigned: List[Tuple[str, ast.stmt]] = []
-        for stmt in node.body:
-            if isinstance(stmt, _FUNCTION_NODES):
-                methods[stmt.name] = stmt
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        assigned.append((target.id, stmt))
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                assigned.append((stmt.target.id, stmt))
-        cls = ClassInfo(info.path, info.modname, node.name, node, bases, methods, assigned)
+        methods: Dict[str, FunctionNode] = {
+            stmt.name: stmt for stmt in node.body if isinstance(stmt, _FUNCTION_NODES)
+        }
+        cls = ClassInfo(info.path, info.modname, node.name, node, bases, methods)
         info.classes[node.name] = cls
         self._class_by_name.setdefault(node.name, []).append(cls)
 
@@ -358,10 +338,6 @@ class ProjectIndex:
                 if call.attr in wanted:
                     yield call
 
-    def classes_named(self, name: str) -> List[ClassInfo]:
-        """Every class with this (unqualified) name, stable order."""
-        return sorted(self._class_by_name.get(name, []), key=lambda c: c.qualname)
-
     def resolve_class(self, dotted: str) -> Optional[ClassInfo]:
         """A class by resolved dotted name, falling back to a unique basename."""
         modname, _, name = dotted.rpartition(".")
@@ -388,30 +364,6 @@ class ProjectIndex:
                     out.append(resolved)
                     frontier.append(resolved)
         return out
-
-    def module_constant_dict(
-        self, constant: str
-    ) -> Optional[Tuple[ModuleInfo, ast.Dict]]:
-        """The (module, dict node) of a module-level dict assignment."""
-        for path in sorted(self.modules):
-            info = self.modules[path]
-            for stmt in info.context.tree.body:
-                targets: List[ast.expr] = []
-                if isinstance(stmt, ast.Assign):
-                    targets = list(stmt.targets)
-                elif isinstance(stmt, ast.AnnAssign):
-                    targets = [stmt.target]
-                else:
-                    continue
-                value = stmt.value
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == constant
-                        and isinstance(value, ast.Dict)
-                    ):
-                        return info, value
-        return None
 
     def resolve_function(
         self, caller: FunctionInfo, dotted: str

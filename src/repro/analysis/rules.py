@@ -16,12 +16,13 @@ Registering is one decorator::
             yield self.finding(module, node, "message")
 
 Codes group into families: FX0xx framework (syntax errors), FX1xx
-determinism, FX3xx API hygiene, FX4xx scoring/index invariants.  FX2xx
-is unused: lock discipline has one subject, ``ThreadSafeMatcher``, and
-a direct test pins it.  Rules may scope themselves to the packages
-where their invariant is load-bearing by overriding :meth:`Rule.applies_to`
-(e.g. determinism rules only fire inside the simulation-critical
-packages).
+determinism, FX3xx API hygiene, FX4xx scoring/index invariants, and the
+whole-project FX504 (log events), FX603 (re-exports) and FX7xx
+(distributed error paths).  FX2xx is unused: lock discipline has one
+subject, ``ThreadSafeMatcher``, and a direct test pins it.  Rules may
+scope themselves to the packages where their invariant is load-bearing
+by overriding :meth:`Rule.applies_to` (e.g. determinism rules only fire
+inside the simulation-critical packages).
 """
 
 from __future__ import annotations

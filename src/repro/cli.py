@@ -221,9 +221,9 @@ def serve(
         elif request.kind in (RequestKind.ADD, RequestKind.CANCEL):
             out.write(f"ok {request.kind.value.upper()} {request.sid}\n")
         else:
-            # Exhaustive over RequestKind (FX601): a member added to the
-            # protocol without a branch here fails loudly instead of
-            # echoing a bogus "ok".
+            # Exhaustive over RequestKind: a member added to the protocol
+            # without a branch here fails loudly instead of echoing a
+            # bogus "ok" (tests/test_request_kinds.py runs every kind).
             failures += 1
             out.write(f"error unhandled request kind {request.kind.value}\n")
     return failures

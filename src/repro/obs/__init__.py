@@ -39,7 +39,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import PHASE_OF_FRAME, SamplingProfiler
 from repro.obs.server import PROM_CONTENT_TYPE, ObservabilityServer
-from repro.obs.tracing import Span, Tracer, aggregate_phases
+from repro.obs.tracing import SPAN_NAMES, Span, Tracer, aggregate_phases
 
 __all__ = [
     "AttributeHeat",
@@ -57,6 +57,7 @@ __all__ = [
     "PHASE_OF_FRAME",
     "PROM_CONTENT_TYPE",
     "RegionHistogram",
+    "SPAN_NAMES",
     "SamplingProfiler",
     "Span",
     "StructuredLogger",

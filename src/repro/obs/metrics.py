@@ -283,6 +283,10 @@ class MetricFamily:
 class MetricsRegistry:
     """Named metric families with JSON and Prometheus exposition.
 
+    Declaring a name again returns its family; declaring it with another
+    kind or other label names raises :class:`ObservabilityError`, so one
+    scrape name never has two shapes.
+
     >>> registry = MetricsRegistry()
     >>> registry.counter("repro_requests_total", "requests served").inc()
     >>> registry.counter("repro_requests_total").value
@@ -305,6 +309,11 @@ class MetricsRegistry:
             if family.kind != kind:
                 raise ObservabilityError(
                     f"metric {name!r} already registered as {family.kind}, not {kind}"
+                )
+            if family.label_names != tuple(labels):
+                raise ObservabilityError(
+                    f"metric {name!r} already registered with labels "
+                    f"{family.label_names}, not {tuple(labels)}"
                 )
             return family
         family = MetricFamily(kind, name, help_text, labels, buckets)

@@ -28,7 +28,42 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ObservabilityError
 
-__all__ = ["Span", "Tracer", "aggregate_phases"]
+__all__ = ["SPAN_NAMES", "Span", "Tracer", "aggregate_phases"]
+
+#: Every span name the system emits (docs/observability.md section 2).
+#: Emit sites keep their literals; tests/obs/test_tracing.py traces the
+#: engines and the overlay and pins the names they emit to this set.
+SPAN_NAMES = frozenset(
+    {
+        # Single-node pipeline: InstrumentedMatcher and fx-tm.
+        "match",
+        "match_batch",
+        "fxtm.match",
+        "fxtm.match_batch",
+        "master_index.lookup",
+        "attribute.probe",
+        "candidates.score",
+        "topk.select",
+        # Zero-duration probe-cache outcomes inside fxtm.match_batch.
+        "probe_cache.hit",
+        "probe_cache.miss",
+        # Distributed overlay: DistributedTopKSystem.
+        "distributed.match",
+        "distributed.match_batch",
+        "leaf.quarantined",
+        "leaf.dispatch",
+        "leaf.attempt",
+        "leaf.backoff",
+        "leaf.hop",
+        "leaf.local_match",
+        "leaf.local_match_batch",
+        "aggregate",
+        "aggregation.hop",
+        "aggregation.backoff",
+        "merge",
+        "root.hop",
+    }
+)
 
 
 class Span:

@@ -59,8 +59,10 @@ def test_ignore_drops_rules():
 def test_list_rules():
     code, output = run("--list-rules")
     assert code == EXIT_CLEAN
-    for expected in ("FX101", "FX301", "FX401", "FX601"):
+    for expected in ("FX101", "FX301", "FX401", "FX504", "FX603"):
         assert expected in output
+    for deleted in ("FX501", "FX502", "FX503", "FX601"):
+        assert deleted not in output
 
 
 def test_json_report_to_file(tmp_path):
@@ -80,21 +82,29 @@ def test_json_report_to_file(tmp_path):
 
 
 def write_project(tmp_path):
-    """A tiny project tree with one span-vocabulary drift (FX501)."""
-    package = tmp_path / "proj" / "repro"
-    (package / "obs").mkdir(parents=True)
-    (package / "core").mkdir(parents=True)
-    (package / "obs" / "profile.py").write_text(
-        'PHASE_OF_FRAME = {("matcher", "probe"): "attribute.probe"}\n'
-    )
-    (package / "core" / "matcher.py").write_text(
-        "class M:\n"
-        '    """A matcher emitting a span outside the profiler vocabulary."""\n'
+    """A tiny project tree with one re-export drift (FX603)."""
+    package = tmp_path / "proj" / "repro" / "util"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        '"""Utilities."""\n'
         "\n"
-        "    def match(self, event: object) -> list:\n"
-        '        """Match one event."""\n'
-        '        with self.tracer.span("mystery.phase"):\n'
-        "            return []\n"
+        "from repro.util.mod import mystery\n"
+        "\n"
+        '__all__ = ["mystery"]\n'
+    )
+    (package / "mod.py").write_text(
+        '"""A module exporting less than its package re-exports."""\n'
+        "\n"
+        '__all__ = ["other"]\n'
+        "\n"
+        "\n"
+        "def other() -> int:\n"
+        '    """Return one."""\n'
+        "    return 1\n"
+        "\n"
+        "\n"
+        "mystery = other\n"
+        "another = other\n"
     )
     return str(tmp_path / "proj")
 
@@ -104,7 +114,7 @@ class TestProjectMode:
         root = write_project(tmp_path)
         code, output = run("--project", root)
         assert code == EXIT_FINDINGS
-        assert "FX501" in output and "mystery.phase" in output
+        assert "FX603" in output and "mystery" in output
         # Plain file mode never runs project rules.
         code, output = run(root)
         assert code == EXIT_CLEAN
@@ -118,17 +128,17 @@ class TestProjectMode:
         assert code == EXIT_FINDINGS
         report = json.loads(report_path.read_text())
         assert report["mode"] == "project"
-        assert report["counts_by_code"] == {"FX501": 1}
+        assert report["counts_by_code"] == {"FX603": 1}
 
     def test_select_and_pragmas_apply_to_project_rules(self, tmp_path):
         root = write_project(tmp_path)
-        code, _ = run("--project", "--select", "FX502", root)
+        code, _ = run("--project", "--select", "FX504", root)
         assert code == EXIT_CLEAN
-        matcher = Path(root) / "repro" / "core" / "matcher.py"
-        matcher.write_text(
-            matcher.read_text().replace(
-                '.span("mystery.phase"):',
-                '.span("mystery.phase"):  # fxlint: disable=FX501',
+        package = Path(root) / "repro" / "util" / "__init__.py"
+        package.write_text(
+            package.read_text().replace(
+                "import mystery\n",
+                "import mystery  # fxlint: disable=FX603\n",
             )
         )
         code, _ = run("--project", root)
@@ -152,22 +162,14 @@ class TestBaselineRatchet:
         root = write_project(tmp_path)
         baseline_path = tmp_path / "baseline.json"
         run("--project", "--format", "json", "--output", str(baseline_path), root)
-        matcher = Path(root) / "repro" / "core" / "matcher.py"
-        matcher.write_text(
-            matcher.read_text()
-            + "\n"
-            + "class N:\n"
-            '    """A second matcher with its own unknown span."""\n'
-            "\n"
-            "    def match(self, event: object) -> list:\n"
-            '        """Match one event."""\n'
-            '        with self.tracer.span("another.unknown"):\n'
-            "            return []\n"
+        package = Path(root) / "repro" / "util" / "__init__.py"
+        package.write_text(
+            package.read_text().replace("import mystery", "import another, mystery")
         )
         code, output = run("--project", "--baseline", str(baseline_path), root)
         assert code == EXIT_FINDINGS
-        assert "another.unknown" in output
-        assert "mystery.phase" not in output
+        assert "another" in output
+        assert "mystery" not in output
 
     def test_bad_baseline_exits_two(self, tmp_path):
         root = write_project(tmp_path)

@@ -1,4 +1,4 @@
-"""FX5xx/FX6xx/FX7xx cross-module contract rules over synthetic trees.
+"""FX504/FX603/FX7xx cross-module contract rules over synthetic trees.
 
 Each rule gets a pre-fix tree (reproducing the drift the rule was built
 to catch on the real codebase) and a fixed tree that must come back
@@ -8,17 +8,9 @@ clean, so the rules themselves are regression-tested in both directions.
 import textwrap
 
 from repro.analysis.checker import check_project
-from repro.analysis.crosslayer import (
-    ReexportDriftRule,
-    RequestKindCoverageRule,
-)
+from repro.analysis.crosslayer import ReexportDriftRule
 from repro.analysis.disthygiene import HopPolicyRule, SwallowedExceptionRule
-from repro.analysis.obscontracts import (
-    HeatMirrorRule,
-    LogEventAssertedRule,
-    MetricLabelRule,
-    SpanVocabularyRule,
-)
+from repro.analysis.obscontracts import LogEventAssertedRule
 
 
 def analyze(tmp_path, rule, files, tests=None):
@@ -39,204 +31,6 @@ def analyze(tmp_path, rule, files, tests=None):
         tests_root=str(tests_root) if tests_root else None,
     )
     return findings
-
-
-PROFILE = """
-PHASE_OF_FRAME = {
-    ("matcher", "probe"): "attribute.probe",
-    ("matcher", "select"): "topk.select",
-}
-"""
-
-
-class TestFX501SpanVocabulary:
-    def test_unknown_span_name_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            SpanVocabularyRule(),
-            {
-                "repro/obs/profile.py": PROFILE,
-                "repro/core/matcher.py": """
-                class M:
-                    def match(self, event):
-                        with self.tracer.span("mystery.phase"):
-                            return []
-                """,
-            },
-        )
-        (finding,) = findings
-        assert finding.code == "FX501"
-        assert "mystery.phase" in finding.message
-        assert finding.path == str(tmp_path / "repro/core/matcher.py")
-
-    def test_known_span_and_non_tracer_receiver_clean(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            SpanVocabularyRule(),
-            {
-                "repro/obs/profile.py": PROFILE,
-                "repro/core/matcher.py": """
-                class M:
-                    def match(self, event):
-                        with self.tracer.span("attribute.probe"):
-                            pass
-                        self.cache.span("not.a.trace.span")
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_silent_without_phase_table(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            SpanVocabularyRule(),
-            {
-                "repro/core/matcher.py": """
-                class M:
-                    def match(self):
-                        with self.tracer.span("anything"):
-                            pass
-                """,
-            },
-        )
-        assert findings == []
-
-
-class TestFX502HeatMirror:
-    def test_recorder_without_mirror_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            HeatMirrorRule(),
-            {
-                "repro/obs/heat.py": """
-                class HeatMonitor:
-                    def __init__(self, registry=None):
-                        if registry is not None:
-                            self._m_probes = registry.counter(
-                                "repro_heat_probes_total", "d", ("attribute",)
-                            )
-
-                    def record_probe(self, attribute):
-                        self.probes = attribute
-                        self._m_probes.labels(attribute=attribute).inc()
-
-                    def record_region(self, attribute):
-                        self.regions = attribute
-                """,
-            },
-        )
-        (finding,) = findings
-        assert finding.code == "FX502"
-        assert "record_region" in finding.message
-
-    def test_wrong_namespace_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            HeatMirrorRule(),
-            {
-                "repro/obs/heat.py": """
-                class HeatMonitor:
-                    def __init__(self, registry):
-                        self._m_probes = registry.counter("probes_total", "d")
-
-                    def record_probe(self):
-                        self._m_probes.inc()
-                """,
-            },
-        )
-        (finding,) = findings
-        assert "repro_heat_" in finding.message
-
-    def test_unmirrored_monitor_is_vacuous(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            HeatMirrorRule(),
-            {
-                "repro/obs/heat.py": """
-                class HeatMonitor:
-                    def __init__(self):
-                        self.heats = {}
-
-                    def record_probe(self, attribute):
-                        self.heats[attribute] = 1
-                """,
-            },
-        )
-        assert findings == []
-
-
-class TestFX503MetricLabels:
-    def test_unknown_and_missing_labels_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            MetricLabelRule(),
-            {
-                "repro/obs/metrics_use.py": """
-                def build(registry):
-                    counter = registry.counter(
-                        "repro_probes_total", "probes", ("attribute",)
-                    )
-                    counter.labels(attribute="price").inc()
-                    counter.labels(shard="a").inc()
-                    counter.labels().inc()
-                """,
-            },
-        )
-        assert [f.code for f in findings] == ["FX503", "FX503"]
-        assert "shard" in findings[0].message
-        assert "without declared label" in findings[1].message
-
-    def test_folded_tuple_concatenation(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            MetricLabelRule(),
-            {
-                "repro/obs/metrics_use.py": """
-                BASE = ("algorithm",)
-
-                def build(registry):
-                    counter = registry.counter(
-                        "repro_ops_total", "ops", labels=BASE + ("op",)
-                    )
-                    counter.labels(algorithm="fx", op="add").inc()
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_cross_module_declaration_conflict(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            MetricLabelRule(),
-            {
-                "repro/a.py": """
-                def build(registry):
-                    c = registry.counter("repro_x_total", "d", ("attribute",))
-                """,
-                "repro/b.py": """
-                def build(registry):
-                    c = registry.counter("repro_x_total", "d", ("shard",))
-                """,
-            },
-        )
-        (finding,) = findings
-        assert "two shapes" in finding.message
-
-    def test_splat_emit_unverifiable_but_unknown_still_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            MetricLabelRule(),
-            {
-                "repro/obs/metrics_use.py": """
-                def build(registry, extra):
-                    c = registry.counter("repro_y_total", "d", ("attribute",))
-                    c.labels(**extra).inc()
-                    c.labels(bogus="x", **extra).inc()
-                """,
-            },
-        )
-        (finding,) = findings
-        assert "bogus" in finding.message
 
 
 class TestFX504LogEventAsserted:
@@ -271,76 +65,6 @@ class TestFX504LogEventAsserted:
 
     def test_silent_without_reference_tree(self, tmp_path):
         findings = analyze(tmp_path, LogEventAssertedRule(), self.FILES)
-        assert findings == []
-
-
-ENUM = """
-import enum
-
-class RequestKind(enum.Enum):
-    ADD = "add"
-    CANCEL = "cancel"
-    MATCH = "match"
-"""
-
-
-class TestFX601RequestKindCoverage:
-    def test_partial_surface_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            RequestKindCoverageRule(),
-            {
-                "repro/core/kinds.py": ENUM,
-                "repro/cli.py": """
-                from repro.core.kinds import RequestKind
-
-                def serve(request):
-                    if request.kind is RequestKind.ADD:
-                        return "add"
-                    if request.kind is RequestKind.MATCH:
-                        return "match"
-                """,
-            },
-        )
-        (finding,) = findings
-        assert finding.code == "FX601"
-        assert "RequestKind.CANCEL" in finding.message
-
-    def test_full_surface_clean(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            RequestKindCoverageRule(),
-            {
-                "repro/core/kinds.py": ENUM,
-                "repro/cli.py": """
-                from repro.core.kinds import RequestKind
-
-                def serve(request):
-                    if request.kind is RequestKind.ADD:
-                        return "add"
-                    if request.kind is RequestKind.CANCEL:
-                        return "cancel"
-                    if request.kind is RequestKind.MATCH:
-                        return "match"
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_single_member_reference_is_not_a_surface(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            RequestKindCoverageRule(),
-            {
-                "repro/core/kinds.py": ENUM,
-                "repro/maker.py": """
-                from repro.core.kinds import RequestKind
-
-                def make_add():
-                    return RequestKind.ADD
-                """,
-            },
-        )
         assert findings == []
 
 

@@ -80,18 +80,18 @@ class TestIndexQueries:
         assert call.value == "attribute.probe"
         assert call.path == "repro/core/engine.py"
 
-    def test_classes_and_enum_members(self):
+    def test_classes_and_bases(self):
         index = self.build()
-        (kind,) = index.classes_named("RequestKind")
+        kind = index.resolve_class("repro.core.kinds.RequestKind")
         assert kind.qualname == "repro.core.kinds.RequestKind"
-        assert [name for name, _ in kind.assigned] == ["ADD", "MATCH"]
         assert kind.bases == ["enum.Enum"]
+        engine = index.resolve_class("Engine")
+        assert sorted(engine.methods) == ["inner", "match"]
 
     def test_attr_refs_resolve_through_import_aliases(self):
         index = self.build()
         engine = index.by_modname["repro.core.engine"]
-        resolved = [dotted for dotted, _ in engine.attr_refs]
-        assert "repro.core.kinds.RequestKind.ADD" in resolved
+        assert engine.resolve("RequestKind.ADD") == "repro.core.kinds.RequestKind.ADD"
 
     def test_all_names(self):
         index = self.build()

@@ -241,8 +241,8 @@ class TestInstrumentedMatcher:
         wrapped = self.build()
         wrapped.match(Event({"a": 5}), 1)
         registry = wrapped.registry
-        assert registry.counter("repro_matches_total").value == 1.0
-        ops = registry.counter("repro_subscription_ops_total")
+        assert registry.get("repro_matches_total").value == 1.0
+        ops = registry.get("repro_subscription_ops_total")
         assert ops.labels(op="add", algorithm="fx-tm", backend="python").value == 2.0
         latency = registry.get("repro_match_seconds").labels(
             algorithm="fx-tm", backend="python"
@@ -287,7 +287,7 @@ class TestInstrumentedMatcher:
         first.match(Event({"a": 5}), 1)
         second.match(Event({"a": 5}), 1)
         # Both wrappers share one scrape surface.
-        assert registry.counter("repro_matches_total").value == 2.0
+        assert registry.get("repro_matches_total").value == 2.0
 
     def test_tracer_attached_to_inner_matcher(self):
         from repro.obs.tracing import Tracer

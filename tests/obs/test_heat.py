@@ -323,8 +323,8 @@ class TestTracedHeatCombination:
 
 
 class TestRegionMirror:
-    """record_region mirrors into the registry like every other recorder
-    (FX502): snapshot and scrape surfaces must reconcile."""
+    """record_region mirrors into the registry like every other recorder,
+    so snapshot and scrape surfaces reconcile."""
 
     def test_record_region_mirrors_into_registry(self):
         registry = MetricsRegistry()
@@ -344,6 +344,60 @@ class TestRegionMirror:
         monitor = HeatMonitor()
         monitor.record_region("price", 10.0, 20.0)
         assert monitor.snapshot().get("price").regions.total == 1
+
+
+#: Each AttributeHeat counter -> the ``repro_heat_*`` family mirroring it
+#: (``regions`` mirrors its histogram's observation total).
+HEAT_MIRRORS = {
+    "probes": "repro_heat_probes_total",
+    "candidates": "repro_heat_candidates_total",
+    "scanned": "repro_heat_scanned_total",
+    "blocks_skipped": "repro_heat_blocks_skipped_total",
+    "blocks_total": "repro_heat_blocks_total",
+    "cache_hits": "repro_heat_cache_hits_total",
+    "cache_misses": "repro_heat_cache_misses_total",
+    "regions": "repro_heat_region_observations_total",
+}
+
+
+def heat_count(heat, field):
+    value = getattr(heat, field)
+    return value.total if isinstance(value, RegionHistogram) else value
+
+
+def narrow_subscriptions():
+    """Enough short price intervals that high queries skip whole blocks."""
+    return [
+        Subscription(f"narrow-{index}", [Constraint("price", Interval(index, index + 1), 0.5)])
+        for index in range(300)
+    ]
+
+
+class TestHeatMirrorsReconcile:
+    """Every in-memory heat counter equals its registry mirror, for both
+    engines, over single matches and a probe-cached batch."""
+
+    def test_table_covers_every_counter_field(self):
+        assert set(HEAT_MIRRORS) == set(AttributeHeat.__slots__) - {"attribute", "kind"}
+
+    @pytest.mark.parametrize("engine", [FXTMMatcher, ArrayTopKMatcher])
+    def test_every_counter_equals_its_mirror(self, engine):
+        registry = MetricsRegistry()
+        matcher = engine(heat=HeatMonitor(registry=registry))
+        for subscription in skewed_subscriptions() + narrow_subscriptions():
+            matcher.add_subscription(subscription)
+        for event in skewed_events():
+            matcher.match(event, k=3)
+        cached = [Event({"price": 290, "age": 30, "state": "Indiana"})] * 3
+        matcher.match_batch(skewed_events() + cached, k=3)
+        profile = matcher.heat.snapshot()
+        for heat in profile.attributes:
+            for field, metric in HEAT_MIRRORS.items():
+                mirror = registry.get(metric).labels(attribute=heat.attribute).value
+                assert mirror == heat_count(heat, field), (heat.attribute, field)
+        # The stream exercised every counter, so no mirror agrees by zero.
+        for field in HEAT_MIRRORS:
+            assert heat_count(profile.get("price"), field) > 0, field
 
 
 class TestHeatUnderChurn:

@@ -133,6 +133,16 @@ class TestMetricsRegistry:
         with pytest.raises(ObservabilityError):
             registry.gauge("x_total")
 
+    def test_label_schema_conflict_rejected(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_x_total", "", ("leaf",))
+        with pytest.raises(ObservabilityError, match="labels"):
+            registry.counter("repro_x_total", "", ("attribute",))
+        # The same schema re-declared is the same family.
+        assert registry.counter("repro_x_total", "", ("leaf",)) is registry.get(
+            "repro_x_total"
+        )
+
     def test_unknown_metric_raises(self):
         with pytest.raises(ObservabilityError):
             MetricsRegistry().get("ghost")

@@ -1,11 +1,20 @@
-"""Span-based tracing: nesting, simulated durations, exports."""
+"""Span-based tracing: nesting, simulated durations, exports, vocabulary."""
 
 import json
 
 import pytest
 
+from repro.core.attributes import Interval
+from repro.core.events import Event
+from repro.core.matcher import FXTMMatcher
+from repro.core.stats import InstrumentedMatcher
+from repro.core.subscriptions import Constraint, Subscription
+from repro.distributed.cluster import DistributedTopKSystem
+from repro.distributed.faults import FaultPlan
 from repro.errors import ObservabilityError
-from repro.obs.tracing import Span, Tracer, aggregate_phases
+from repro.obs.heat import HeatMonitor
+from repro.obs.profile import PHASE_OF_FRAME
+from repro.obs.tracing import SPAN_NAMES, Span, Tracer, aggregate_phases
 
 
 class TestSpanLifecycle:
@@ -179,3 +188,87 @@ class TestAggregatePhases:
         root.set_duration(1.0)
         totals = aggregate_phases(tracer.traces)
         assert totals["outer"]["self_seconds"] == 0.0
+
+
+def span_names(traces):
+    """Every span name in the given trace trees."""
+    names = set()
+    stack = list(traces)
+    while stack:
+        span = stack.pop()
+        names.add(span.name)
+        stack.extend(span.children)
+    return names
+
+
+def vocabulary_subscriptions():
+    return [
+        Subscription(
+            f"s{index}",
+            [
+                Constraint("price", Interval(index, index + 50), 1.0),
+                Constraint("state", {"Indiana"}, 0.5),
+            ],
+        )
+        for index in range(30)
+    ]
+
+
+#: A repeated event, so a batch answers some probes from its cache.
+VOCABULARY_EVENTS = [
+    Event({"price": 42, "state": "Indiana"}),
+    Event({"price": 7}),
+    Event({"price": 42, "state": "Indiana"}),
+]
+
+#: Zero-duration probe-cache outcomes: spans, but no profiler phase.
+CACHE_MARKERS = {"probe_cache.hit", "probe_cache.miss"}
+
+
+def single_node_span_names(heat):
+    """Names traced by fx-tm alone and behind InstrumentedMatcher."""
+    tracer = Tracer()
+    engine = FXTMMatcher(
+        prorate=True, tracer=tracer, heat=HeatMonitor() if heat else None
+    )
+    for subscription in vocabulary_subscriptions():
+        engine.add_subscription(subscription)
+    wrapped = InstrumentedMatcher(engine, tracer=tracer)
+    for matcher in (engine, wrapped):
+        matcher.match(VOCABULARY_EVENTS[0], k=5)
+        matcher.match_batch(VOCABULARY_EVENTS, k=5)
+    return span_names(tracer.traces)
+
+
+def overlay_span_names():
+    """Names traced by the overlay under quarantine, retries and drops."""
+    tracer = Tracer()
+    system = DistributedTopKSystem(
+        lambda: FXTMMatcher(prorate=True),
+        node_count=6,
+        faults=FaultPlan(crashed=frozenset({2}), hop_drop_rate=0.3, seed=0),
+        tracer=tracer,
+    )
+    system.add_subscriptions(vocabulary_subscriptions())
+    # The first walk times leaf 2 out into quarantine; the second skips it.
+    for _ in range(2):
+        system.match(VOCABULARY_EVENTS[0], k=5)
+        system.match_batch(VOCABULARY_EVENTS, k=5)
+    return span_names(tracer.traces)
+
+
+class TestSpanVocabulary:
+    @pytest.mark.parametrize("heat", [False, True], ids=["plain", "heat"])
+    def test_single_node_spans_are_declared_profiler_phases(self, heat):
+        names = single_node_span_names(heat)
+        assert names <= SPAN_NAMES, sorted(names - SPAN_NAMES)
+        phases = set(PHASE_OF_FRAME.values())
+        assert names - CACHE_MARKERS <= phases, sorted(names - CACHE_MARKERS - phases)
+
+    def test_overlay_spans_are_declared(self):
+        names = overlay_span_names()
+        assert names <= SPAN_NAMES, sorted(names - SPAN_NAMES)
+
+    def test_every_declared_name_is_emitted(self):
+        emitted = single_node_span_names(heat=False) | overlay_span_names()
+        assert emitted == SPAN_NAMES, sorted(SPAN_NAMES ^ emitted)

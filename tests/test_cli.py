@@ -52,8 +52,8 @@ class TestServe:
         assert out.getvalue().count("error") == 2
 
     def test_unhandled_request_kind_fails_loudly(self):
-        # serve()'s dispatch is exhaustive over RequestKind (FX601): a
-        # protocol verb without a branch is an error, not a bogus "ok".
+        # serve()'s dispatch is exhaustive over RequestKind: a protocol
+        # verb without a branch is an error, not a bogus "ok".
         from types import SimpleNamespace
 
         future_kind = SimpleNamespace(value="future")
