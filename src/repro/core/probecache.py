@@ -17,7 +17,8 @@ their stored weights): event weight overrides, proration, and budget
 multipliers are applied per event after the lookup, so a cache hit
 folds exactly the floats a fresh probe would have folded, in the same
 order.  On top of that, the matcher memoises the *prorated fold* of a
-ranged probe (``(sid, weight * fraction)`` pairs) via
+ranged probe (``(sid, weight * fraction)`` pairs, or the array engine's
+``(slots, subscores)`` columns) via
 :meth:`get_scored` / :meth:`put_scored` — exact because the proration
 fraction is a pure function of the cache key (the event interval) and
 the stored entries, and it is only consulted when no per-event weight
@@ -32,7 +33,7 @@ spans and the probe-cache hit-ratio metrics (docs/observability.md).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.structures.interval_tree import IntervalEntry
 
@@ -52,9 +53,9 @@ class ProbeCache:
 
     def __init__(self) -> None:
         self._ranged: Dict[Tuple[str, Any, Any], List[IntervalEntry]] = {}
-        self._discrete: Dict[Tuple[str, Any], List[Tuple[Any, float]]] = {}
-        self._scored: Dict[Tuple[str, Any, Any], List[Tuple[Any, float]]] = {}
-        self._candidates: Dict[Tuple[str, Any, Any], List[int]] = {}
+        self._discrete: Dict[Tuple[str, Any], Any] = {}
+        self._scored: Dict[Tuple[str, Any, Any], Any] = {}
+        self._candidates: Dict[Tuple[str, Any, Any], Sequence[int]] = {}
         #: Probes answered from the cache.
         self.hits = 0
         #: Probes that had to touch the index (and were then stored).
@@ -81,10 +82,13 @@ class ProbeCache:
         """Store a stab result (empty lists included — misses are cached too)."""
         self._ranged[(attribute, qlo, qhi)] = entries
 
-    def get_discrete(
-        self, attribute: str, value: Any
-    ) -> Optional[List[Tuple[Any, float]]]:
-        """The memoised ``(sid, weight)`` pairs of a bucket lookup, or None."""
+    def get_discrete(self, attribute: str, value: Any) -> Any:
+        """The memoised bucket lookup, or None.
+
+        FX-TM stores ``(sid, weight)`` pairs, the array engine
+        ``(slot, weight)`` pairs or, on its columnar route, the bucket's
+        ``(slots, weights)`` arrays (``()`` when the bucket is absent).
+        """
         pairs = self._discrete.get((attribute, value))
         if pairs is None:
             self.misses += 1
@@ -92,20 +96,21 @@ class ProbeCache:
             self.hits += 1
         return pairs
 
-    def put_discrete(
-        self, attribute: str, value: Any, pairs: List[Tuple[Any, float]]
-    ) -> None:
-        """Store a bucket lookup (an absent bucket is stored as ``[]``)."""
+    def put_discrete(self, attribute: str, value: Any, pairs: Any) -> None:
+        """Store a bucket lookup (an absent bucket is stored empty)."""
         self._discrete[(attribute, value)] = pairs
 
-    def get_candidates(self, attribute: str, qlo: Any, qhi: Any) -> Optional[List[int]]:
+    def get_candidates(
+        self, attribute: str, qlo: Any, qhi: Any
+    ) -> Optional[Sequence[int]]:
         """The memoised candidate *indices* of an array-engine stab, or None.
 
         The structure-of-arrays engine's analogue of :meth:`get_ranged`:
-        the cached value is the list of positions overlapping the query
-        in that attribute's parallel arrays.  Counts toward ``hits`` /
-        ``misses`` exactly as :meth:`get_ranged` does — each stab key is
-        one index probe, whichever representation answers it.
+        the cached value is the positions overlapping the query in that
+        attribute's parallel arrays (a list, or an int64 array on the
+        columnar route).  Counts toward ``hits`` / ``misses`` exactly as
+        :meth:`get_ranged` does — each stab key is one index probe,
+        whichever representation answers it.
         """
         found = self._candidates.get((attribute, qlo, qhi))
         if found is None:
@@ -115,14 +120,12 @@ class ProbeCache:
         return found
 
     def put_candidates(
-        self, attribute: str, qlo: Any, qhi: Any, found: List[int]
+        self, attribute: str, qlo: Any, qhi: Any, found: Sequence[int]
     ) -> None:
         """Store an array-engine stab (empty lists included)."""
         self._candidates[(attribute, qlo, qhi)] = found
 
-    def get_scored(
-        self, attribute: str, qlo: Any, qhi: Any
-    ) -> Optional[List[Tuple[Any, float]]]:
+    def get_scored(self, attribute: str, qlo: Any, qhi: Any) -> Any:
         """The memoised prorated fold of a ranged probe, or None.
 
         A derived-value memo layered over :meth:`get_ranged`: it does
@@ -131,10 +134,8 @@ class ProbeCache:
         """
         return self._scored.get((attribute, qlo, qhi))
 
-    def put_scored(
-        self, attribute: str, qlo: Any, qhi: Any, pairs: List[Tuple[Any, float]]
-    ) -> None:
-        """Store the prorated ``(sid, subscore)`` pairs for one stab key."""
+    def put_scored(self, attribute: str, qlo: Any, qhi: Any, pairs: Any) -> None:
+        """Store one stab key's prorated pairs (or ``(slots, subscores)`` columns)."""
         self._scored[(attribute, qlo, qhi)] = pairs
 
     @property

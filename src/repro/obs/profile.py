@@ -50,6 +50,7 @@ PHASE_OF_FRAME: Dict[Tuple[str, str], str] = {
     ("interval_tree", "scan_stats"): "attribute.probe",
     ("interval_tree", "skip_scan_stats"): "attribute.probe",
     ("soa", "candidates"): "attribute.probe",
+    ("soa", "candidate_array"): "attribute.probe",
     ("soa", "cutoff"): "attribute.probe",
     ("soa", "scan_stats"): "attribute.probe",
     ("matcher", "_fold_ranged"): "candidates.score",
@@ -59,13 +60,17 @@ PHASE_OF_FRAME: Dict[Tuple[str, str], str] = {
     ("matcher", "_select_topk"): "topk.select",
     ("matcher", "_build_scoremap"): "master_index.lookup",
     # Array engine (repro/core/array_matcher.py).
+    ("array_matcher", "_probe_ranged"): "attribute.probe",
+    ("array_matcher", "_probe_discrete"): "attribute.probe",
     ("array_matcher", "_fold_ranged_python"): "candidates.score",
-    ("array_matcher", "_fold_ranged_numpy"): "candidates.score",
     ("array_matcher", "_fold_pairs"): "candidates.score",
-    ("array_matcher", "_fold_candidates_override"): "candidates.score",
     ("array_matcher", "_scored_candidates"): "candidates.score",
+    ("array_matcher", "_ranged_columns"): "candidates.score",
+    ("array_matcher", "_discrete_columns"): "candidates.score",
     ("array_matcher", "_select_topk"): "topk.select",
+    ("array_matcher", "_select_columns"): "topk.select",
     ("array_matcher", "_fold_event"): "master_index.lookup",
+    ("array_matcher", "_fold_columns"): "master_index.lookup",
     # Whole-match roots (repro/core/matcher.py + stats.py).  Innermost
     # frames above win, so these only label samples taken in the match
     # loop's own bookkeeping rather than inside a pipeline phase.

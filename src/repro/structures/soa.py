@@ -7,7 +7,7 @@ constraints in *parallel arrays* instead, so the hot loops become
 contiguous index arithmetic:
 
 * :class:`SoARangedIndex` — parallel ``lo`` / ``hi`` / ``weight`` /
-  ``slot`` / ``sid`` arrays kept sorted by the interval tree's exact
+  ``slot`` arrays kept sorted by the interval tree's exact
   ``(low, high, sid)`` key, plus the same per-64-entry ``max_high``
   skip table the flattened stab view uses.  A stab is a
   :func:`bisect.bisect_right` over the lows (cutting off every entry
@@ -19,14 +19,17 @@ contiguous index arithmetic:
 
 * :class:`SoADiscreteIndex` — hash map from value to a
   :class:`SoADiscreteBucket` of parallel ``sid`` / ``weight`` / ``slot``
-  arrays kept sorted by sid, mirroring ``IdTreeSet.get_all`` order.
+  arrays kept sorted by sid, mirroring ``IdTreeSet.get_all`` order
+  (plus, for the matcher's columnar route, lazily built int64/float64
+  columns).
 
 ``slot`` is the dense integer the matcher interns each sid to
 (:mod:`repro.core.array_matcher`); carrying it next to the weight lets
 the fold accumulate into a flat slot-indexed list without hashing sids.
 
-The read-optimised view (skip table plus optional numpy mirrors) is
-published as one atomic tuple stamped with the build epoch — the same
+The read-optimised view (skip table, plus either the packed scan mirror
+for the matcher's scalar route or the numpy mirrors for its columnar
+route) is published as one atomic tuple stamped with the build epoch — the same
 write-once-per-epoch discipline as ``IntervalTree``'s flattened view,
 so concurrent readers under a read lock never observe a torn rebuild.
 
@@ -80,9 +83,12 @@ def numpy_available() -> bool:
 #: numpy members are always ``None`` on the pure-python path.  ``packed``
 #: is the row-major mirror ``[(lo, hi, weight, slot), ...]`` the scalar
 #: scan-and-fold iterates — one indexed load plus a tuple unpack per
-#: candidate instead of four list indexings.
+#: candidate instead of four list indexings.  Only a pure-python view
+#: builds it; it is ``None`` in a numpy view, whose readers never scan
+#: row by row.
 _RangedView = Tuple[
-    int, bool, List[float], Any, Any, Any, Any, List[Tuple[float, float, float, int]]
+    int, bool, List[float], Any, Any, Any, Any,
+    Optional[List[Tuple[float, float, float, int]]],
 ]
 
 
@@ -96,7 +102,7 @@ class SoARangedIndex:
     [0, 1]
     """
 
-    __slots__ = ("los", "his", "weights", "slots", "sids", "_keys", "_epoch", "_view")
+    __slots__ = ("los", "his", "weights", "slots", "_keys", "_epoch", "_view")
 
     def __init__(self) -> None:
         #: Parallel arrays sorted by the tree's ``(low, high, sid)`` key.
@@ -104,7 +110,6 @@ class SoARangedIndex:
         self.his: List[float] = []
         self.weights: List[float] = []
         self.slots: List[int] = []
-        self.sids: List[Any] = []
         # The sort keys themselves, kept for O(log n) position lookup.
         self._keys: List[Tuple[float, float, Any]] = []
         self._epoch = 0
@@ -132,7 +137,6 @@ class SoARangedIndex:
         self.his.insert(position, high)
         self.weights.insert(position, weight)
         self.slots.insert(position, slot)
-        self.sids.insert(position, sid)
         self._epoch += 1
 
     def delete(self, low: float, high: float, sid: Any) -> None:
@@ -149,7 +153,6 @@ class SoARangedIndex:
         del self.his[position]
         del self.weights[position]
         del self.slots[position]
-        del self.sids[position]
         self._epoch += 1
 
     # ------------------------------------------------------------------
@@ -158,26 +161,29 @@ class SoARangedIndex:
     def ensure_view(self, want_numpy: bool = False) -> _RangedView:
         """Return the current read view, rebuilding it if stale; ``O(n)``.
 
-        The view is one atomic tuple stamped with the epoch it was built
+        ``want_numpy`` picks the kind: the numpy mirrors, or the packed
+        scan mirror.  A view of the other kind counts as stale.  The
+        view is one atomic tuple stamped with the epoch it was built
         from — a concurrent reader either sees the previous complete
         view (and rebuilds its own, idempotently) or this complete one,
         never a half-written mix.
         """
         view = self._view
-        if view is not None and view[0] == self._epoch and (view[1] or not want_numpy):
+        if view is not None and view[0] == self._epoch and view[1] == want_numpy:
             return view
         epoch = self._epoch  # sampled before building, published inside
         his = self.his
         block_max = [
             max(his[start:start + _BLOCK]) for start in range(0, len(his), _BLOCK)
         ]
-        np_los = np_his = np_weights = np_slots = None
-        if want_numpy and _np is not None and self._float64_exact():
+        np_los = np_his = np_weights = np_slots = packed = None
+        if not want_numpy:
+            packed = list(zip(self.los, his, self.weights, self.slots))
+        elif _np is not None and self._float64_exact():
             np_los = _np.asarray(self.los, dtype=_np.float64)
             np_his = _np.asarray(his, dtype=_np.float64)
             np_weights = _np.asarray(self.weights, dtype=_np.float64)
             np_slots = _np.asarray(self.slots, dtype=_np.int64)
-        packed = list(zip(self.los, his, self.weights, self.slots))
         built: _RangedView = (
             epoch, want_numpy, block_max, np_los, np_his, np_weights, np_slots, packed,
         )
@@ -202,32 +208,33 @@ class SoARangedIndex:
         """Index of the first entry with ``low > qhi`` (scan upper bound)."""
         return bisect_right(self.los, qhi)
 
-    def candidates(self, qlo: float, qhi: float, use_numpy: bool = False) -> List[int]:
+    def candidate_array(self, qlo: float, qhi: float) -> Any:
+        """Indices of every entry overlapping ``[qlo, qhi]`` as an int64 array.
+
+        One vectorised compare of the ``hi`` mirror up to the
+        ``bisect_right`` cutoff, in the scalar scan's order.  Returns
+        ``None`` when it cannot be exact: numpy is unavailable, some
+        endpoint is not float64-exact (no mirrors), or a query bound is
+        not (``float(q) != q``) — the caller then takes the scalar
+        :meth:`candidates` route.
+        """
+        np_his = self.ensure_view(want_numpy=True)[4]
+        if np_his is None or float(qlo) != qlo or float(qhi) != qhi:
+            return None
+        return (np_his[:bisect_right(self.los, qhi)] >= qlo).nonzero()[0]
+
+    def candidates(self, qlo: float, qhi: float) -> List[int]:
         """Indices of every entry overlapping ``[qlo, qhi]``, in order.
 
-        Pure-python path: ``bisect_right`` over the lows, then a
-        contiguous scan that skips whole 64-entry blocks whose
-        ``max_high`` lies below ``qlo``.  With ``use_numpy`` (and
-        float64-exact data) the scan is a vectorised compare over the
-        mirror arrays; slices at most one block long stay on the scalar
-        path, where the numpy call overhead would dominate.
+        ``bisect_right`` over the lows, then a contiguous scan that skips
+        whole 64-entry blocks whose ``max_high`` lies below ``qlo``.
+        :meth:`candidate_array` is the vectorised twin.
         """
         stop = bisect_right(self.los, qhi)
         if not stop:
             return []
-        view = self.ensure_view(want_numpy=use_numpy)
-        np_his = view[4]
-        if (
-            use_numpy
-            and _np is not None
-            and np_his is not None
-            and float(qlo) == qlo
-            and stop > _BLOCK
-        ):
-            found: List[int] = _np.flatnonzero(np_his[:stop] >= qlo).tolist()
-            return found
         his = self.his
-        block_max = view[2]
+        block_max = self._skip_table()
         out: List[int] = []
         append = out.append
         for start in range(0, stop, _BLOCK):
@@ -249,18 +256,31 @@ class SoARangedIndex:
         stop = bisect_right(self.los, qhi)
         if not stop:
             return 0, 0, 0
-        return skip_scan_stats(self.ensure_view()[2], stop, qlo)
+        return skip_scan_stats(self._skip_table(), stop, qlo)
+
+    def _skip_table(self) -> List[float]:
+        """The current view's ``max_high`` skip table, whichever kind it is.
+
+        Both kinds carry it, so a scalar scan over a numpy-backed index
+        reuses the numpy view instead of building a pure-python one.
+        """
+        view = self._view
+        if view is None or view[0] != self._epoch:
+            view = self.ensure_view()
+        return view[2]
 
 
 class SoADiscreteBucket:
     """One discrete value's matching constraints, sorted by sid."""
 
-    __slots__ = ("sids", "weights", "slots")
+    __slots__ = ("sids", "weights", "slots", "_columns")
 
     def __init__(self) -> None:
         self.sids: List[Any] = []
         self.weights: List[float] = []
         self.slots: List[int] = []
+        # (int64 slots, float64 weights), built on first use after a write.
+        self._columns: Optional[Tuple[Any, Any]] = None
 
     def __len__(self) -> int:
         return len(self.sids)
@@ -273,6 +293,7 @@ class SoADiscreteBucket:
         self.sids.insert(position, sid)
         self.weights.insert(position, weight)
         self.slots.insert(position, slot)
+        self._columns = None
 
     def remove(self, sid: Any) -> None:
         """Remove ``sid``; raises :class:`KeyError` when absent."""
@@ -282,6 +303,23 @@ class SoADiscreteBucket:
         del self.sids[position]
         del self.weights[position]
         del self.slots[position]
+        self._columns = None
+
+    def columns(self) -> Tuple[Any, Any]:
+        """The bucket as ``(slots, weights)`` numpy arrays, in sid order.
+
+        Built once per write and published as one tuple, so concurrent
+        readers either rebuild it idempotently or share it.  Requires
+        numpy.
+        """
+        columns = self._columns
+        if columns is None:
+            columns = (
+                _np.asarray(self.slots, dtype=_np.int64),
+                _np.asarray(self.weights, dtype=_np.float64),
+            )
+            self._columns = columns
+        return columns
 
 
 class SoADiscreteIndex:

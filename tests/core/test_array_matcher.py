@@ -8,6 +8,10 @@ reference engine does: the thread-safe wrapper, the instrumented
 wrapper, and the distributed leaf.
 """
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.core.array_matcher import ArrayTopKMatcher
@@ -16,9 +20,14 @@ from repro.core.concurrent import ThreadSafeMatcher
 from repro.core.events import Event
 from repro.core.matcher import FXTMMatcher
 from repro.core.results import MatchResult
+from repro.core.scoring import Aggregation
 from repro.core.stats import InstrumentedMatcher
 from repro.core.subscriptions import Constraint, Subscription
 from repro.structures.soa import numpy_available
+
+from tests.helpers import random_event, random_subscriptions
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def sub(sid, *constraints):
@@ -47,6 +56,12 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             ArrayTopKMatcher(backend="numpy")
 
+    def test_aggregation_without_columnar_scatter_folds_in_python(self):
+        product = Aggregation("product", 1.0, lambda a, b: a * b, False)
+        assert ArrayTopKMatcher(aggregation=product).backend == "python"
+        with pytest.raises(ValueError):
+            ArrayTopKMatcher(backend="numpy", aggregation=product)
+
 
 class TestEngineBehaviour:
     def test_unknown_attribute_contributes_nothing(self):
@@ -72,10 +87,10 @@ class TestEngineBehaviour:
             matcher.add_subscription(sub(f"s{i}", ranged("age", i, i + 1)))
         matcher.cancel_subscription("s2")
         matcher.cancel_subscription("s4")
-        accumulator_size = len(matcher._acc)
+        slot_count = len(matcher._sid_of)
         matcher.add_subscription(sub("fresh-a", ranged("age", 0, 9)))
         matcher.add_subscription(sub("fresh-b", ranged("age", 0, 9)))
-        assert len(matcher._acc) == accumulator_size  # reused, not grown
+        assert len(matcher._sid_of) == slot_count  # reused, not grown
         results = matcher.match(Event({"age": 3}), k=10)
         assert {r.sid for r in results} == {"s3", "fresh-a", "fresh-b"}
 
@@ -114,6 +129,44 @@ class TestWrapperIntegration:
         assert wrapped.match_batch([event], k=2) == [[MatchResult("s1", 3.0)]]
         wrapped.cancel_subscription("s1")
         assert len(wrapped) == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_concurrent_matches_agree_with_sequential(self, backend):
+        """Matches share the read lock, so each thread needs its own
+        accumulator: interleaved folds must not leak into each other."""
+        rng = random.Random(17)
+        matcher = ArrayTopKMatcher(backend=backend, prorate=True)
+        for subscription in random_subscriptions(rng, 3000, with_sets=True):
+            matcher.add_subscription(subscription)
+        matcher.ensure_built()
+        events = [random_event(rng) for _ in range(200)]
+        expected = [matcher.match(event, 10) for event in events]
+        wrapped = ThreadSafeMatcher(matcher)
+        mismatches = []
+        errors = []
+
+        def worker(offset):
+            try:
+                for index in range(len(events)):
+                    index = (index + offset) % len(events)
+                    if wrapped.match(events[index], 10) != expected[index]:
+                        mismatches.append(index)
+            except Exception as error:  # pragma: no cover - test guard
+                errors.append(error)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i * 50,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
 
     def test_instrumented_wrapper_records_probe_cache(self):
         inner = self.build(ArrayTopKMatcher(backend="python"))

@@ -28,7 +28,7 @@ class TestSoARangedIndex:
         index.insert(5, 9, "a", 2.0, slot=1)
         index.insert(1, 3, "z", 3.0, slot=2)
         index.insert(5, 7, "z", 4.0, slot=3)
-        assert index.sids == ["z", "z", "a", "b"]
+        assert [sid for _, _, sid in index._keys] == ["z", "z", "a", "b"]
         assert index.los == [1, 5, 5, 5]
         assert index.his == [3, 7, 9, 9]
         assert index.weights == [3.0, 4.0, 2.0, 1.0]
@@ -106,7 +106,7 @@ class TestSoARangedIndex:
         for _ in range(100):
             qlo = rng.randint(-10, 520)
             qhi = qlo + rng.randint(0, 80)
-            assert index.candidates(qlo, qhi, use_numpy=True) == brute_candidates(
+            assert index.candidate_array(qlo, qhi).tolist() == brute_candidates(
                 index, qlo, qhi
             )
 
@@ -116,8 +116,9 @@ class TestSoARangedIndex:
         index.insert(2**60 + 1, 2**60 + 3, "big", 1.0, slot=0)
         view = index.ensure_view(want_numpy=True)
         assert view[4] is None  # no float64 mirror: it would round
+        assert index.candidate_array(2**60 + 2, 2**60 + 2) is None
         # The scalar path still answers exactly.
-        assert index.candidates(2**60 + 2, 2**60 + 2, use_numpy=True) == [0]
+        assert index.candidates(2**60 + 2, 2**60 + 2) == [0]
 
     def test_python_view_never_builds_numpy_mirrors(self):
         index = SoARangedIndex()
