@@ -119,12 +119,9 @@ def measure_point(n: int, k: int, event_count: int, repeats: int) -> Dict[str, o
             got = matcher.match(event, k)
             # Exactness IS the property under test here: the array
             # engine promises bitwise-identical scores, so the gate
-            # deliberately compares floats for equality.
-            identical = got == expected and all(
-                a.score == b.score  # fxlint: disable=FX401
-                for a, b in zip(got, expected)
-            )
-            if not identical:
+            # deliberately compares floats for equality.  MatchResult is
+            # a NamedTuple, so == compares every (sid, score) exactly.
+            if got != expected:
                 raise SystemExit(
                     f"array engine diverged from reference: n={n} engine={label}"
                 )

@@ -5,19 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
-__all__ = ["dotted_name", "import_aliases", "resolve_call_origin"]
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """Render ``a.b.c`` attribute/name chains; None for anything else."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+__all__ = ["import_aliases", "resolve_call_origin"]
 
 
 def import_aliases(tree: ast.Module) -> Dict[str, str]:
@@ -58,9 +46,11 @@ def resolve_call_origin(func: ast.AST, aliases: Dict[str, str]) -> Optional[str]
     resolves to ``datetime.datetime.now`` and a bare ``now`` (imported
     ``from time import time as now``) resolves to ``time.time``.
     """
-    dotted = dotted_name(func)
-    if dotted is None:
+    parts = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
         return None
-    head, _, rest = dotted.partition(".")
-    origin = aliases.get(head, head)
-    return f"{origin}.{rest}" if rest else origin
+    origin = aliases.get(func.id, func.id)
+    return ".".join([origin] + parts[::-1])

@@ -4,52 +4,30 @@ Exit-code contract (stable; CI and pre-commit hooks rely on it):
 
 * ``0`` — every checked file is clean (after pragma suppression);
 * ``1`` — at least one finding;
-* ``2`` — usage or I/O error (unknown rule code, missing path, bad
-  baseline file, …).
-
-``--project`` switches on whole-project mode: in addition to the
-per-file rules, the cross-module contract rules (FX504, FX603, FX7xx)
-run over a single-parse :class:`~repro.analysis.projectindex.ProjectIndex`
-of every given path (default ``src`` when none are given), with
-``--tests-root`` (default ``tests``) indexed as the reference tree for
-assertion cross-checks.  ``--baseline report.json`` suppresses findings
-already present in a previous JSON report, so CI can ratchet: exit 0
-means *no new findings*, not "historically clean".
+* ``2`` — usage or I/O error (unknown rule code, missing path, …).
 
 Examples::
 
     python -m repro.analysis src benchmarks
     python -m repro.analysis --format json --output fxlint.json src
     python -m repro.analysis --select FX101,FX102 src/repro/distributed
-    python -m repro.analysis --project src
-    python -m repro.analysis --project --baseline fxlint-baseline.json
     python -m repro.analysis --list-rules
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional, TextIO
 
-from repro.analysis.checker import check_paths, check_project, load_default_rules
-from repro.analysis.reporters import (
-    BaselineError,
-    load_baseline,
-    render_rule_list,
-    split_baseline,
-    write_report,
-)
+from repro.analysis.checker import check_paths, load_default_rules
+from repro.analysis.reporters import render_rule_list, write_report
 
 __all__ = ["build_parser", "main"]
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
-
-#: Default analysis root for ``--project`` runs with no explicit paths.
-_DEFAULT_PROJECT_PATH = "src"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,31 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "whole-project mode: build the cross-module index and run the "
-            "FX504/FX603/FX7xx contract rules too (paths default to 'src')"
-        ),
-    )
-    parser.add_argument(
-        "--tests-root",
-        default="tests",
-        metavar="DIR",
-        help=(
-            "reference tree indexed for assertion cross-checks in --project "
-            "mode (string literals only, never linted; default: tests)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "a previous JSON report; findings it already records are "
-            "suppressed, so the exit code reflects new findings only"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -134,14 +87,10 @@ def main(argv: Optional[List[str]] = None, out: Optional[TextIO] = None) -> int:
     if args.list_rules:
         stream.write(render_rule_list(rules))
         return EXIT_CLEAN
-    paths = list(args.paths)
-    if not paths:
-        if args.project and os.path.isdir(_DEFAULT_PROJECT_PATH):
-            paths = [_DEFAULT_PROJECT_PATH]
-        else:
-            parser.print_usage(sys.stderr)
-            print("error: no paths given (or use --list-rules)", file=sys.stderr)
-            return EXIT_ERROR
+    if not args.paths:
+        parser.print_usage(sys.stderr)
+        print("error: no paths given (or use --list-rules)", file=sys.stderr)
+        return EXIT_ERROR
 
     known = {rule.code for rule in rules}
     selected = _split_codes(args.select)
@@ -155,60 +104,18 @@ def main(argv: Optional[List[str]] = None, out: Optional[TextIO] = None) -> int:
     if ignored:
         rules = [rule for rule in rules if rule.code not in ignored]
 
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_ERROR
-
     try:
-        if args.project:
-            findings, files_checked, _ = check_project(
-                paths, rules, tests_root=args.tests_root
-            )
-        else:
-            findings, files_checked = check_paths(paths, rules)
+        findings, files_checked = check_paths(args.paths, rules)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
 
-    suppressed = 0
-    if baseline is not None:
-        findings, suppressed = split_baseline(findings, baseline)
-
-    mode = "project" if args.project else "files"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            write_report(
-                findings,
-                files_checked,
-                handle,
-                args.format,
-                mode=mode,
-                baseline_path=args.baseline,
-                baseline_suppressed=suppressed,
-            )
+            write_report(findings, files_checked, handle, args.format)
         # Keep the human summary on stdout even when the report goes to a
         # file, so CI logs show the verdict inline.
-        write_report(
-            findings,
-            files_checked,
-            stream,
-            "text",
-            mode=mode,
-            baseline_path=args.baseline,
-            baseline_suppressed=suppressed,
-        )
+        write_report(findings, files_checked, stream, "text")
     else:
-        write_report(
-            findings,
-            files_checked,
-            stream,
-            args.format,
-            mode=mode,
-            baseline_path=args.baseline,
-            baseline_suppressed=suppressed,
-        )
+        write_report(findings, files_checked, stream, args.format)
     return EXIT_FINDINGS if findings else EXIT_CLEAN

@@ -5,88 +5,33 @@ an artifact and downstream tooling can diff reports across runs.
 Version history:
 
 * **1** — files_checked / finding_count / counts_by_code / findings;
-* **2** — adds ``mode`` (``"files"`` or ``"project"``) and, when a
-  ``--baseline`` was applied, a ``baseline`` object recording the
-  baseline path and how many findings it suppressed.  Version-1
-  consumers keep working: every v1 field is unchanged.
+* **2** — added ``mode`` and an optional ``baseline`` object for the
+  whole-project mode and its baseline ratchet;
+* **3** — the whole-project mode is gone, and with it ``mode`` and
+  ``baseline``; the fields are those of version 1.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import Any, Dict, Sequence, TextIO
 
 from repro.analysis.findings import Finding
 
 __all__ = [
-    "BaselineError",
-    "load_baseline",
     "render_text",
     "render_json",
     "render_rule_list",
     "report_json",
-    "split_baseline",
     "write_report",
 ]
 
 #: Schema version of the JSON report.
-REPORT_VERSION = 2
-
-#: The identity under which a finding matches a baseline entry.  Line
-#: and column are deliberately excluded so unrelated edits shifting a
-#: finding down a file do not resurrect it as "new".
-BaselineKey = Tuple[str, str, str]
+REPORT_VERSION = 3
 
 
-class BaselineError(ValueError):
-    """A ``--baseline`` file that cannot be read or parsed."""
-
-
-def load_baseline(path: str) -> Set[BaselineKey]:
-    """The set of finding keys recorded in a previous JSON report."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as error:
-        raise BaselineError(f"cannot read baseline {path}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise BaselineError(f"baseline {path} is not valid JSON: {error}") from error
-    findings = document.get("findings") if isinstance(document, dict) else None
-    if not isinstance(findings, list):
-        raise BaselineError(
-            f"baseline {path} is not an fxlint JSON report (no findings list)"
-        )
-    keys: Set[BaselineKey] = set()
-    for entry in findings:
-        if isinstance(entry, dict):
-            keys.add(
-                (
-                    str(entry.get("path", "")),
-                    str(entry.get("code", "")),
-                    str(entry.get("message", "")),
-                )
-            )
-    return keys
-
-
-def split_baseline(
-    findings: Sequence[Finding], baseline: Set[BaselineKey]
-) -> Tuple[List[Finding], int]:
-    """``(new findings, suppressed count)`` against a baseline key set."""
-    fresh = [
-        finding
-        for finding in findings
-        if (finding.path, finding.code, finding.message) not in baseline
-    ]
-    return fresh, len(findings) - len(fresh)
-
-
-def render_text(
-    findings: Sequence[Finding],
-    files_checked: int,
-    baseline_suppressed: int = 0,
-) -> str:
+def render_text(findings: Sequence[Finding], files_checked: int) -> str:
     """GCC-style one-line-per-finding text with a trailing summary."""
     lines = [finding.render() for finding in findings]
     if findings:
@@ -98,50 +43,24 @@ def render_text(
         )
     else:
         lines.append(f"fxlint: clean ({files_checked} files checked)")
-    if baseline_suppressed:
-        lines.append(
-            f"fxlint: {baseline_suppressed} baseline finding"
-            f"{'s' if baseline_suppressed != 1 else ''} suppressed"
-        )
     return "\n".join(lines) + "\n"
 
 
-def report_json(
-    findings: Sequence[Finding],
-    files_checked: int,
-    mode: str = "files",
-    baseline_path: Optional[str] = None,
-    baseline_suppressed: int = 0,
-) -> Dict[str, Any]:
+def report_json(findings: Sequence[Finding], files_checked: int) -> Dict[str, Any]:
     """The report as a JSON-serialisable dict (schema ``REPORT_VERSION``)."""
     counts = Counter(finding.code for finding in findings)
-    document: Dict[str, Any] = {
+    return {
         "version": REPORT_VERSION,
-        "mode": mode,
         "files_checked": files_checked,
         "finding_count": len(findings),
         "counts_by_code": dict(sorted(counts.items())),
         "findings": [finding.to_json() for finding in findings],
     }
-    if baseline_path is not None:
-        document["baseline"] = {
-            "path": baseline_path,
-            "suppressed": baseline_suppressed,
-        }
-    return document
 
 
-def render_json(
-    findings: Sequence[Finding],
-    files_checked: int,
-    mode: str = "files",
-    baseline_path: Optional[str] = None,
-    baseline_suppressed: int = 0,
-) -> str:
+def render_json(findings: Sequence[Finding], files_checked: int) -> str:
     """The JSON report as an indented, sorted-key string."""
-    document = report_json(
-        findings, files_checked, mode, baseline_path, baseline_suppressed
-    )
+    document = report_json(findings, files_checked)
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
@@ -150,17 +69,12 @@ def write_report(
     files_checked: int,
     out: TextIO,
     fmt: str = "text",
-    mode: str = "files",
-    baseline_path: Optional[str] = None,
-    baseline_suppressed: int = 0,
 ) -> None:
     """Write the report in ``fmt`` (``text`` or ``json``) to ``out``."""
     if fmt == "json":
-        out.write(
-            render_json(findings, files_checked, mode, baseline_path, baseline_suppressed)
-        )
+        out.write(render_json(findings, files_checked))
     else:
-        out.write(render_text(findings, files_checked, baseline_suppressed))
+        out.write(render_text(findings, files_checked))
 
 
 def render_rule_list(rules: Sequence[Any]) -> str:

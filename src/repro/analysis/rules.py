@@ -16,29 +16,25 @@ Registering is one decorator::
             yield self.finding(module, node, "message")
 
 Codes group into families: FX0xx framework (syntax errors), FX1xx
-determinism, FX3xx API hygiene, FX4xx scoring/index invariants, and the
-whole-project FX504 (log events), FX603 (re-exports) and FX7xx
-(distributed error paths).  FX2xx is unused: lock discipline has one
-subject, ``ThreadSafeMatcher``, and a direct test pins it.  Rules may
-scope themselves to the packages where their invariant is load-bearing
-by overriding :meth:`Rule.applies_to` (e.g. determinism rules only fire
-inside the simulation-critical packages).
+determinism, FX3xx API hygiene and FX4xx scoring/index invariants.
+The other families are retired: each guarded a contract with a handful
+of subjects, and a direct test now pins each one on a running system
+(docs/static_analysis.md lists where).  Rules may scope themselves to
+the packages where their invariant is load-bearing by overriding
+:meth:`Rule.applies_to` (e.g. determinism rules only fire inside the
+simulation-critical packages).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Type, TypeVar
+from typing import Dict, Iterator, List, Type, TypeVar
 
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import PragmaSet
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.analysis.projectindex import ProjectIndex
-
 __all__ = [
     "ModuleContext",
-    "ProjectRule",
     "Rule",
     "RuleType",
     "UnknownPragmaCodeRule",
@@ -105,40 +101,6 @@ class Rule:
             path=module.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-        )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-project (cross-module) rules.
-
-    Project rules run only in ``--project`` mode: the checker parses
-    every module once, builds a
-    :class:`~repro.analysis.projectindex.ProjectIndex`, and hands it to
-    :meth:`check_project`.  Findings anchor in whichever module carries
-    the drift, so line pragmas and ``--select``/``--ignore`` work
-    unchanged.  The per-file :meth:`check` hook is a deliberate no-op —
-    registering a project rule never affects per-file runs.
-    """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Yield a finding per cross-module contract violation."""
-        raise NotImplementedError
-        yield  # pragma: no cover - makes this a generator for type checkers
-
-    def project_finding(
-        self, path: str, node: Optional[ast.AST], message: str
-    ) -> Finding:
-        """Build a finding anchored at ``node`` in the module at ``path``."""
-        return Finding(
-            code=self.code,
-            rule=self.name,
-            message=message,
-            path=path,
-            line=getattr(node, "lineno", 1) if node is not None else 1,
-            col=getattr(node, "col_offset", 0) if node is not None else 0,
         )
 
 

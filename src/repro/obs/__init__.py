@@ -27,7 +27,7 @@ The workload-introspection subsystem (docs/profiling.md):
 
 from repro.obs.exemplars import Exemplar, ExemplarStore
 from repro.obs.heat import AttributeHeat, HeatMonitor, RegionHistogram, WorkloadProfile
-from repro.obs.logging import LEVELS, StructuredLogger
+from repro.obs.logging import LEVELS, LOG_EVENTS, StructuredLogger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -51,6 +51,7 @@ __all__ = [
     "HeatMonitor",
     "Histogram",
     "LEVELS",
+    "LOG_EVENTS",
     "MetricFamily",
     "MetricsRegistry",
     "ObservabilityServer",

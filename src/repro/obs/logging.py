@@ -24,10 +24,31 @@ from typing import Any, Dict, List, Optional, TextIO
 
 from repro.errors import ObservabilityError
 
-__all__ = ["StructuredLogger", "LEVELS"]
+__all__ = ["LOG_EVENTS", "StructuredLogger", "LEVELS"]
 
 #: Recognised levels, in increasing severity.
 LEVELS = ("debug", "info", "warning", "error")
+
+#: Every event name the distributed overlay emits (docs/observability.md
+#: section 3).  Emit sites keep their literals; a test in
+#: tests/distributed/test_observability.py drives every emit site and
+#: pins the names it sees to this set.
+LOG_EVENTS = frozenset(
+    {
+        "cluster.configured",
+        "match.degraded",
+        "leaf.crashed",
+        "leaf.recovered",
+        "leaf.reassigned",
+        "leaf.suspect",
+        "leaf.dead",
+        "leaf.alive",
+        "leaf.readmitted",
+        "faults.match_begin",
+        "controller.parse_error",
+        "controller.request_failed",
+    }
+)
 
 
 class StructuredLogger:

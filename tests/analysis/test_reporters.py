@@ -61,76 +61,3 @@ def test_rule_list_covers_every_registered_rule():
         assert rule.code in listing
         assert rule.name in listing
 
-
-class TestReportV2:
-    def test_mode_field_defaults_to_files(self):
-        assert report_json(FINDINGS, files_checked=7)["mode"] == "files"
-        assert report_json([], 3, mode="project")["mode"] == "project"
-
-    def test_baseline_object_only_when_applied(self):
-        plain = report_json(FINDINGS, 7)
-        assert "baseline" not in plain
-        with_baseline = report_json(
-            FINDINGS, 7, baseline_path="old.json", baseline_suppressed=4
-        )
-        assert with_baseline["baseline"] == {"path": "old.json", "suppressed": 4}
-
-    def test_v1_fields_unchanged(self):
-        report = report_json(FINDINGS, 7, mode="project", baseline_path="b.json")
-        for field in ("version", "files_checked", "finding_count", "counts_by_code", "findings"):
-            assert field in report
-
-    def test_text_summary_mentions_baseline_suppression(self):
-        from repro.analysis.reporters import render_text as rt
-
-        text = rt(FINDINGS, files_checked=7, baseline_suppressed=3)
-        assert "3 baseline findings suppressed" in text
-        assert "baseline" not in rt(FINDINGS, files_checked=7)
-
-
-class TestBaseline:
-    def test_load_and_split_round_trip(self, tmp_path):
-        from repro.analysis.reporters import load_baseline, split_baseline
-
-        path = tmp_path / "baseline.json"
-        path.write_text(render_json(FINDINGS[:1], 7))
-        baseline = load_baseline(str(path))
-        fresh, suppressed = split_baseline(FINDINGS, baseline)
-        # Same (path, code, message) — line numbers deliberately ignored,
-        # so both findings match the single baseline entry.
-        assert fresh == []
-        assert suppressed == 2
-
-    def test_distinct_messages_stay_fresh(self, tmp_path):
-        from repro.analysis.reporters import load_baseline, split_baseline
-
-        path = tmp_path / "baseline.json"
-        path.write_text(render_json(FINDINGS[:1], 7))
-        baseline = load_baseline(str(path))
-        new = Finding(
-            code="FX101",
-            rule="no-wall-clock",
-            message="different drift",
-            path="src/repro/y.py",
-            line=1,
-            col=0,
-        )
-        fresh, suppressed = split_baseline([new], baseline)
-        assert fresh == [new]
-        assert suppressed == 0
-
-    def test_bad_baseline_files_raise(self, tmp_path):
-        from repro.analysis.reporters import BaselineError, load_baseline
-
-        import pytest
-
-        with pytest.raises(BaselineError):
-            load_baseline(str(tmp_path / "missing.json"))
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json {")
-        with pytest.raises(BaselineError):
-            load_baseline(str(bad))
-        wrong_shape = tmp_path / "wrong.json"
-        wrong_shape.write_text('{"hello": "world"}')
-        with pytest.raises(BaselineError):
-            load_baseline(str(wrong_shape))

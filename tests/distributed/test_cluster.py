@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.betree import BEStarTreeMatcher
 from repro.core.matcher import FXTMMatcher
+from repro.core.subscriptions import Constraint, Subscription
 from repro.distributed.cluster import DistributedTopKSystem
 from repro.distributed.network import LatencyModel
 from repro.errors import OverlayError, UnknownSubscriptionError
@@ -73,6 +74,13 @@ class TestDistributionCorrectness:
         system = DistributedTopKSystem(FXTMMatcher, node_count=2)
         with pytest.raises(UnknownSubscriptionError):
             system.cancel_subscription("ghost")
+
+    def test_owners_of_unknown_raises(self):
+        system = DistributedTopKSystem(FXTMMatcher, node_count=2)
+        system.add_subscriptions([Subscription("s", [Constraint("a", 1)])])
+        assert system.owners_of("s") in ([0], [1])
+        with pytest.raises(UnknownSubscriptionError):
+            system.owners_of("ghost")
 
     def test_bad_node_count(self):
         with pytest.raises(OverlayError):

@@ -15,6 +15,7 @@ and the registry's Prometheus exposition must round-trip through
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +26,15 @@ from repro.core.subscriptions import Constraint, Subscription
 from repro.distributed.cluster import DistributedTopKSystem
 from repro.distributed.controller import DistributedController
 from repro.distributed.faults import FaultPlan
-from repro.distributed.health import LeafState
-from repro.obs import MetricsRegistry, StructuredLogger, Tracer, parse_prom_text
+from repro.distributed.health import HealthTracker, LeafState
+from repro.distributed.network import RetryPolicy
+from repro.obs import (
+    LOG_EVENTS,
+    MetricsRegistry,
+    StructuredLogger,
+    Tracer,
+    parse_prom_text,
+)
 
 NODE_COUNT = 6
 CRASHED_LEAF = 2
@@ -370,6 +378,123 @@ class TestDeterminism:
             )
 
         assert run() == run()
+
+
+def drive_every_log_emit_site():
+    """A logger that saw every overlay event site fire at least once."""
+    logger = StructuredLogger(clock=lambda: 0.0)
+    system = DistributedTopKSystem(
+        lambda: make_matcher("fx-tm", prorate=True),
+        node_count=NODE_COUNT,
+        # Leaf 2 is down for matches 0-1, leaf 3 for match 0 only.
+        faults=FaultPlan(
+            crashed=frozenset({2}),
+            crash_at_match=((3, 0),),
+            recover_at_match=((2, 2), (3, 1)),
+        ),
+        retry=RetryPolicy(max_attempts=1),
+        health=HealthTracker(NODE_COUNT, suspicion_threshold=2, readmission_seconds=0.0),
+        logger=logger,
+    )
+    system.add_subscriptions(subscriptions())
+    for _ in range(3):
+        system.match(Event({"price": 42}), k=5)
+    system.crash_leaf(4)
+    system.recover_leaf(4)
+    system.reassign_orphans(5)
+    responses = DistributedController(system).run(["MATCH nonsense(((", "CANCEL ghost"])
+    assert [response.ok for response in responses] == [False, False]
+    return logger
+
+
+def documented_log_events():
+    """The event column of docs/observability.md's log-event table."""
+    text = (Path(__file__).parents[2] / "docs" / "observability.md").read_text()
+    section = text.split("## 3. Structured log events", 1)[1].split("\n## ", 1)[0]
+    return {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+
+
+class TestLogVocabulary:
+    def test_fault_plan_walks_every_health_transition(self):
+        logger = drive_every_log_emit_site()
+        health = [
+            (record["event"], record["leaf"])
+            for record in logger.records
+            if record.get("component") == "health"
+        ]
+        # Match 0: leaves 2 and 3 time out once.  Match 1: leaf 2 times
+        # out again and leaf 3 answers.  Match 2: leaf 2's probe answers.
+        assert health[:5] == [
+            ("leaf.suspect", 2),
+            ("leaf.suspect", 3),
+            ("leaf.dead", 2),
+            ("leaf.alive", 3),
+            ("leaf.readmitted", 2),
+        ]
+
+    def test_emitted_events_equal_declaration(self):
+        emitted = {record["event"] for record in drive_every_log_emit_site().records}
+        assert emitted == LOG_EVENTS, sorted(emitted ^ LOG_EVENTS)
+
+    def test_docs_table_equals_declaration(self):
+        documented = documented_log_events()
+        assert documented == LOG_EVENTS, sorted(documented ^ LOG_EVENTS)
+
+
+def hop_counters_under_drops(retry, matches=10):
+    """Per-stage (retries, timeouts) and the worst coverage of ten
+    matches on 9 leaves while a seeded plan drops 30% of all hops."""
+    system = DistributedTopKSystem(
+        lambda: make_matcher("fx-tm", prorate=True),
+        node_count=9,
+        faults=FaultPlan(hop_drop_rate=0.3, seed=0),
+        retry=retry,
+    )
+    system.add_subscriptions(subscriptions(36))
+    coverage = min(
+        system.match(Event({"price": 42}), k=5).coverage for _ in range(matches)
+    )
+    retries = system.registry.get("repro_retries_total")
+    timeouts = system.registry.get("repro_hop_timeouts_total")
+    counts = {
+        stage: (retries.labels(stage=stage).value, timeouts.labels(stage=stage).value)
+        for stage in ("leaf", "aggregation")
+    }
+    return counts, coverage
+
+
+class TestRetryPolicyReachesEveryHop:
+    """The configured RetryPolicy, not a default, governs both stages."""
+
+    def test_single_attempt_never_retries(self):
+        counts, coverage = hop_counters_under_drops(RetryPolicy(max_attempts=1))
+        for stage, (retries, timeouts) in counts.items():
+            assert timeouts > 0 and retries == 0, stage
+        assert coverage < 1.0
+
+    def test_enough_attempts_deliver_every_hop(self):
+        counts, coverage = hop_counters_under_drops(RetryPolicy(max_attempts=6))
+        # Every dropped hop was retried until it got through.
+        for stage, (retries, timeouts) in counts.items():
+            assert retries == timeouts > 0, stage
+        assert coverage == 1.0
+        # The default three attempts do lose hops under this plan, so the
+        # equality above holds only if the configured policy was used.
+        counts, coverage = hop_counters_under_drops(RetryPolicy())
+        for stage, (retries, timeouts) in counts.items():
+            assert retries < timeouts, stage
+        assert coverage < 1.0
+
+    def test_leaf_deadline_stops_leaf_retries(self):
+        # One 2 ms timeout spends the 1 ms leaf deadline, so no leaf is
+        # retried; aggregation hops have no deadline and keep retrying.
+        counts, _ = hop_counters_under_drops(
+            RetryPolicy(max_attempts=6, deadline_seconds=1e-3)
+        )
+        retries, timeouts = counts["leaf"]
+        assert timeouts > 0 and retries == 0
+        retries, timeouts = counts["aggregation"]
+        assert retries == timeouts > 0
 
 
 @pytest.mark.parametrize("fmt", ["json", "prom"])

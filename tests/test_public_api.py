@@ -1,9 +1,31 @@
 """The package's public surface: exports, errors, versioning."""
 
+import importlib
+import inspect
+import pkgutil
+import sys
+
 import pytest
 
 import repro
 from repro import errors
+
+
+def packages():
+    """``repro`` and every subpackage, imported."""
+    found = pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    return [repro] + [importlib.import_module(info.name) for info in found if info.ispkg]
+
+
+def own_public_callables(package):
+    """``(name, object)`` for each public class or function the package
+    binds whose defining module lies inside the package."""
+    inside = package.__name__ + "."
+    for name, obj in sorted(vars(package).items()):
+        if name.startswith("_") or not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        if obj.__module__ == package.__name__ or obj.__module__.startswith(inside):
+            yield name, obj
 
 
 class TestTopLevelExports:
@@ -35,6 +57,16 @@ class TestTopLevelExports:
         results = matcher.match(event, k=10)
         assert results[0].sid == "spring-break"
         assert results[0].score == pytest.approx(1.8)
+
+    @pytest.mark.parametrize("package", packages(), ids=lambda package: package.__name__)
+    def test_reexports_agree_with_defining_modules(self, package):
+        names = dict(own_public_callables(package))
+        assert names, package.__name__
+        for name, obj in names.items():
+            assert name in package.__all__, name
+            module = sys.modules[obj.__module__]
+            # A module without __all__ exports every public name.
+            assert name in getattr(module, "__all__", (name,)), (module.__name__, name)
 
     def test_subpackages_importable(self):
         import repro.baselines
